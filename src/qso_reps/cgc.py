@@ -8,6 +8,13 @@ times that closed form.  The ratio is independent both of which next-row is
 used to normalise (the top-generator element factorises through the closed
 form) and of the auxiliary weight; both independences are exploited here and
 re-verified numerically.
+
+The auxiliary irrep is never built.  Its generators below level n keep the
+level-n row, so they are block-diagonal with the rank-n generators of that
+row as blocks (Gel'fand-Tsetlin restriction); the (source, target) block of
+every composite generator thus follows from one top-generator block by the
+q-commutator recursion.  The (target, source) blocks with the other sign
+give the primed inverse coefficients used by `wigner`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, BasisIndex, GTPattern,
                       IrrepLabel, branch_rows, branching_set, covers,
                       enumerate_patterns, extend_pattern, first_completion,
                       l_coords, rows_above, rows_below)
-from .reps import (GeneratorMatrix, build_all_generators, composite_generator)
+from .reps import (GeneratorMatrix, build_all_generators, composite_chain,
+                   generator_block)
 from .tensorprod import tensor_rep
 
 
@@ -134,13 +142,6 @@ def _cached_generators(label: IrrepLabel, ctx: QContext) -> tuple[GeneratorMatri
     return tuple(build_all_generators(label, ctx))
 
 
-@lru_cache(maxsize=64)
-def _cached_composite(label: IrrepLabel, k: int, l: int, sign: str,
-                      ctx: QContext) -> GeneratorMatrix:
-    base = list(_cached_generators(label, ctx))
-    return composite_generator(label, k, l, sign, ctx, base)
-
-
 def aux_candidates(label: IrrepLabel, m_tgt: Row, margin: int = 3) -> list[IrrepLabel]:
     """Dominant next-rank weights admitting both the source and target
     weights below them, ordered by increasing entry sum then entries."""
@@ -156,87 +157,108 @@ def aux_candidates(label: IrrepLabel, m_tgt: Row, margin: int = 3) -> list[Irrep
     return [IrrepLabel(n + 1, kind, u, eps) for u in rows]
 
 
-def _block_scale(label: IrrepLabel, m_tgt: Row, aux: IrrepLabel,
-                 ctx: QContext) -> complex | None:
-    """Normalising ratio DEN/TOP for one target block under one auxiliary
-    weight, or None when this auxiliary weight is unusable."""
-    n = label.n
-    gens = _cached_generators(aux, ctx)
-    top_gen = gens[n - 1].mat
-    basis = enumerate_patterns(aux)
-    scale = float(np.abs(top_gen).max())
-    for m_hat in rows_below(label.m_top, n, label.kind):
-        if n - 1 >= 2 and not covers(m_tgt, m_hat, n, label.kind):
+def _require_restriction(aux: IrrepLabel, label: IrrepLabel) -> None:
+    """`aux` must restrict to `label`: one rank up, same family, same signs
+    below, and a top row admitting the weight of `label`."""
+    signs = aux.eps[:label.n - 1] if aux.eps else None
+    if aux.n != label.n + 1 or aux.kind != label.kind or signs != label.eps:
+        raise ValidationError(f"{aux} is not an auxiliary weight for {label}")
+    if not covers(aux.m_top, label.m_top, aux.n, aux.kind):
+        raise AuxSearchError(f"auxiliary weight {aux} does not admit {label}")
+
+
+@lru_cache(maxsize=64)
+def _top_block(aux: IrrepLabel, rows: IrrepLabel, cols: IrrepLabel,
+               ctx: QContext) -> np.ndarray:
+    """Block of the auxiliary top generator from the tableaux under `cols`
+    to those under `rows`, evaluated from the coefficient formulas."""
+    for label in (rows, cols):
+        _require_restriction(aux, label)
+    index = {extend_pattern(aux.m_top, p): i
+             for i, p in enumerate(enumerate_patterns(rows).patterns)}
+    cols_ext = [extend_pattern(aux.m_top, p)
+                for p in enumerate_patterns(cols).patterns]
+    return generator_block(aux, aux.n - 1, index, cols_ext, ctx)
+
+
+@lru_cache(maxsize=16)
+def aux_blocks(rows: IrrepLabel, cols: IrrepLabel, aux: IrrepLabel, sign: str,
+               ctx: QContext, stop: int = 1) -> dict[int, np.ndarray]:
+    """Blocks of the composite generators I^sign(n+1, l) of the auxiliary
+    irrep `aux`, rows under `rows` and columns under `cols`, for slots
+    l = n down to `stop`; slot n is the plain top generator.
+
+    The returned arrays are shared with the cache and must not be modified.
+    """
+    return composite_chain(_top_block(aux, rows, cols, ctx),
+                           [g.mat for g in _cached_generators(rows, ctx)],
+                           [g.mat for g in _cached_generators(cols, ctx)],
+                           sign, ctx, stop)
+
+
+def _block_mu(source: IrrepLabel, m_tgt: Row, top: np.ndarray, forward: bool,
+              ctx: QContext) -> complex | None:
+    """Normalising ratio DEN/TOP of one block pair, or None when DEN is tiny
+    against the largest entry of `top`, whose rows are the source tableaux
+    when `forward` and the target tableaux otherwise; TOP, the closed form,
+    keeps the source-to-target orientation either way."""
+    n, kind = source.n, source.kind
+    src_basis = enumerate_patterns(source)
+    tgt_basis = enumerate_patterns(source.with_weight(m_tgt))
+    scale = float(np.abs(top).max())
+    for m_hat in rows_below(source.m_top, n, kind):
+        if n - 1 >= 2 and not covers(m_tgt, m_hat, n, kind):
             continue
-        third = top_cgc(label.m_top, m_tgt, m_hat, n, label.kind, ctx)
+        third = top_cgc(source.m_top, m_tgt, m_hat, n, kind, ctx)
         if abs(third) < 1e-12:
             continue
-        completion = first_completion(m_hat, n - 1, label.kind) if n - 1 > 2 else ()
-        bra = GTPattern((aux.m_top, label.m_top, m_hat) + completion) \
-            if n - 1 >= 2 else GTPattern((aux.m_top, label.m_top))
-        ket = GTPattern((aux.m_top, m_tgt, m_hat) + completion) \
-            if n - 1 >= 2 else GTPattern((aux.m_top, m_tgt))
-        den = top_gen[basis.position(bra), basis.position(ket)]
+        tail = (m_hat,) + first_completion(m_hat, n - 1, kind) if n - 1 >= 2 else ()
+        i_src = src_basis.position(GTPattern((source.m_top,) + tail))
+        i_tgt = tgt_basis.position(GTPattern((m_tgt,) + tail))
+        den = top[i_src, i_tgt] if forward else top[i_tgt, i_src]
         if abs(den) <= 1e-6 * scale:
             return None
         return den / third
     return None
 
 
-def _admissible_scales(label: IrrepLabel, m_tgt: Row, ctx: QContext,
-                       want: int) -> list[tuple[IrrepLabel, complex]]:
+def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
+                   want: int = 1, aux: IrrepLabel | None = None,
+                   ) -> list[tuple[IrrepLabel, complex]]:
+    """Up to `want` usable auxiliary weights for the block pair source ->
+    m_tgt, each with its normalising ratio, in candidate order.
+
+    `forward` selects the orientation of the top block the ratio is read
+    from: (source, target) for coupling coefficients, (target, source) for
+    primed inverse ones.  A given `aux` is checked and used alone.
+    """
+    target = source.with_weight(m_tgt)
+    rows, cols = (source, target) if forward else (target, source)
     found: list[tuple[IrrepLabel, complex]] = []
-    tried: list[IrrepLabel] = []
-    for aux in aux_candidates(label, m_tgt):
-        tried.append(aux)
-        mu = _block_scale(label, m_tgt, aux, ctx)
+    tried = [aux] if aux is not None else aux_candidates(source, m_tgt)
+    for candidate in tried:
+        mu = _block_mu(source, m_tgt, _top_block(candidate, rows, cols, ctx),
+                       forward, ctx)
         if mu is not None:
-            found.append((aux, mu))
+            found.append((candidate, mu))
             if len(found) >= want:
-                return found
+                break
     if not found:
+        what = "coupling" if forward else "primed inverse"
         raise AuxSearchError(
-            f"no auxiliary weight for {label} -> {m_tgt}; tried "
-            + ", ".join(repr(a) for a in tried))
+            f"no usable auxiliary weight for {what} coefficients {source} -> "
+            f"{m_tgt}; tried " + ", ".join(repr(a) for a in tried))
     return found
 
 
-class _BlockComputer:
-    """Computes all coefficients of one target block under a fixed
-    auxiliary weight."""
-
-    def __init__(self, label: IrrepLabel, m_tgt: Row, aux: IrrepLabel,
-                 mu: complex, ctx: QContext):
-        self.label = label
-        self.m_tgt = m_tgt
-        self.aux = aux
-        self.mu = mu
-        self.ctx = ctx
-        self.n = label.n
-        self.aux_basis = enumerate_patterns(aux)
-        self._composites: dict[int, np.ndarray] = {}
-
-    def _composite(self, k: int) -> np.ndarray:
-        if k not in self._composites:
-            if k == self.n:
-                self._composites[k] = _cached_generators(self.aux, self.ctx)[self.n - 1].mat
-            else:
-                self._composites[k] = _cached_composite(
-                    self.aux, self.n + 1, k, "-", self.ctx).mat
-        return self._composites[k]
-
-    def coefficient(self, k: "int | str", src: GTPattern, tgt: GTPattern) -> complex:
-        if cgc_is_zero(k, src, tgt, self.label.kind):
-            return 0j
-        if k == self.n:
-            return top_cgc(self.label.m_top, self.m_tgt, src.row(self.n - 1),
-                           self.n, self.label.kind, self.ctx)
-        kk = 2 if k in ("+", "-") else k
-        mat = self._composite(kk)
-        bra = extend_pattern(self.aux.m_top, src)
-        ket = extend_pattern(self.aux.m_top, tgt)
-        num = mat[self.aux_basis.position(bra), self.aux_basis.position(ket)]
-        return self.ctx.q ** (kk - self.n) * num / self.mu
+def _slot_tables(label: IrrepLabel, target: IrrepLabel, aux: IrrepLabel,
+                 mu: complex, ctx: QContext) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Raw block and coefficient table q^(k-n) * block / mu of every slot k
+    below n (slot 2 is shared by the "+" and "-" vectors)."""
+    n = label.n
+    blocks = aux_blocks(label, target, aux, "-", ctx, stop=2)
+    return {k: (blocks[k], ctx.q ** (k - n) * blocks[k] / mu)
+            for k in range(2, max(n, 3))}
 
 
 def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
@@ -253,14 +275,14 @@ def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
     if cgc_is_zero(k, src, tgt, kind):
         return 0j
     m_tgt = tgt.row(n)
-    if aux is None:
-        (aux, mu), = _admissible_scales(label, m_tgt, ctx, want=1)
-    else:
-        mu = _block_scale(label, m_tgt, aux, ctx)
-        if mu is None:
-            raise AuxSearchError(f"auxiliary weight {aux} unusable for "
-                                 f"{label} -> {m_tgt}")
-    return _BlockComputer(label, m_tgt, aux, mu, ctx).coefficient(k, src, tgt)
+    (aux, mu), = admissible_aux(label, m_tgt, True, ctx, aux=aux)
+    if k == n:
+        return top_cgc(label.m_top, m_tgt, src.row(n - 1), n, kind, ctx)
+    target = label.with_weight(m_tgt)
+    _, values = _slot_tables(label, target, aux, mu, ctx)[
+        2 if k in ("+", "-") else k]
+    return values[enumerate_patterns(label).position(src),
+                  enumerate_patterns(target).position(tgt)]
 
 
 @dataclass(frozen=True)
@@ -311,23 +333,41 @@ def _k_order(n: int) -> list["int | str"]:
     return ["+", "-"] + list(range(3, n + 1))
 
 
-def _compute_block_table(label: IrrepLabel, m_tgt: Row, computer: _BlockComputer,
-                         ctx: QContext):
-    """Raw (unnormalised) coefficient table for one target block."""
-    n = label.n
-    target_label = label.with_weight(m_tgt)
-    tgt_basis = enumerate_patterns(target_label)
+def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
+                         ctx: QContext) -> list:
+    """Unnormalised coefficient table of one target block: per target
+    tableau, its nonzero terms in slot order ("+", "-", 3..n), each slot in
+    source order.  At the nonzero block entries of slots below n the
+    selection rules split slot 2 into "+" and "-", and every entry they
+    force to vanish must be negligible against its block.  Slot n is the
+    closed form at the source sharing the rows below level n."""
+    n, kind = label.n, label.kind
     src_basis = enumerate_patterns(label)
-    entries = []
-    for tgt in tgt_basis.patterns:
-        terms = []
-        for k in _k_order(n):
-            for src in src_basis.patterns:
-                value = computer.coefficient(k, src, tgt)
+    src, tgt = src_basis.patterns, enumerate_patterns(target).patterns
+    terms = {k: [[] for _ in tgt] for k in _k_order(n)}
+    for slot, (raw, values) in slots.items():
+        names = ("+", "-") if slot == 2 else (slot,)
+        bound = ctx.tolerance(float(np.abs(raw).max()))
+        for j, i in zip(*np.nonzero(raw.T)):
+            live = [k for k in names if not cgc_is_zero(k, src[i], tgt[j], kind)]
+            if live:
+                terms[live[0]][j].append((i, values[i, j]))
+            elif abs(raw[i, j]) > bound:
+                raise DecompositionError(
+                    f"slot {slot} element {abs(raw[i, j]):.3e} of "
+                    f"{src[i]} -> {tgt[j]} breaks the selection rules "
+                    f"(bound {bound:.3e})")
+    if n > 2:
+        for j, t in enumerate(tgt):
+            i = src_basis.index.get(GTPattern((label.m_top,) + t.rows[1:]))
+            if i is not None:
+                value = top_cgc(label.m_top, target.m_top, t.row(n - 1), n,
+                                kind, ctx)
                 if value != 0j:
-                    terms.append((str(k), src, value))
-        entries.append((tgt, tuple(terms)))
-    return target_label, tgt_basis, src_basis, entries
+                    terms[n][j].append((i, value))
+    return [(t, tuple((str(k), src[i], v) for k in _k_order(n)
+                      for i, v in terms[k][j]))
+            for j, t in enumerate(tgt)]
 
 
 def _normalise(entries) -> list:
@@ -381,26 +421,28 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext,
     out: dict[Row, Intertwiner] = {}
     for branch in branching_set(label.m_top, n, label.kind):
         m_tgt = branch.row
-        scales = _admissible_scales(label, m_tgt, ctx,
-                                    want=2 if verify_second_aux else 1)
+        target_label = label.with_weight(m_tgt)
+        scales = admissible_aux(label, m_tgt, True, ctx,
+                                want=2 if verify_second_aux else 1)
         aux, mu = scales[0]
-        computer = _BlockComputer(label, m_tgt, aux, mu, ctx)
-        target_label, tgt_basis, src_basis, entries = _compute_block_table(
-            label, m_tgt, computer, ctx)
+        slots = _slot_tables(label, target_label, aux, mu, ctx)
+        entries = _compute_block_table(label, target_label, slots, ctx)
         if verify_second_aux and len(scales) > 1:
             aux2, mu2 = scales[1]
-            other = _BlockComputer(label, m_tgt, aux2, mu2, ctx)
-            for tgt, terms in entries:
-                for k, src, value in terms:
-                    k2 = int(k) if k not in ("+", "-") else k
-                    check = other.coefficient(k2, src, tgt)
-                    scale = max(abs(value), abs(check), 1.0)
-                    if abs(check - value) > 1e-8 * scale:
-                        raise DecompositionError(
-                            f"auxiliary weights {aux} and {aux2} disagree on "
-                            f"({k}, {src} -> {tgt}): {value} vs {check}")
+            other = _slot_tables(label, target_label, aux2, mu2, ctx)
+            for slot, (_, values) in slots.items():
+                check = other[slot][1]
+                scale = np.maximum(np.maximum(np.abs(values), np.abs(check)), 1.0)
+                bad = np.argwhere(np.abs(check - values) > 1e-8 * scale)
+                if bad.size:
+                    i, j = bad[0]
+                    raise DecompositionError(
+                        f"auxiliary weights {aux} and {aux2} disagree on slot "
+                        f"{slot} at ({i}, {j}) of block {m_tgt}: "
+                        f"{values[i, j]} vs {check[i, j]}")
         entries = _normalise(entries)
-        matrix = _build_matrix(label, entries, src_basis, tgt_basis, ctx)
+        matrix = _build_matrix(label, entries, enumerate_patterns(label),
+                               enumerate_patterns(target_label), ctx)
         block_mats = _cached_generators(target_label, ctx)
         residuals = []
         for k in range(1, n):

@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DecompositionError, AuxSearchError, FactorizationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

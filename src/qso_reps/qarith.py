@@ -8,6 +8,7 @@ is evaluated through a :class:`QContext`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -107,8 +108,8 @@ def half(twice: int) -> HalfInt:
 class QContext:
     """Evaluation point q and the tolerances all numeric checks run at.
 
-    q must be a positive real different from 1; the bracket formulas divide
-    by q - 1/q.
+    q must be a finite positive real different from 1; the bracket formulas
+    divide by q - 1/q.
     """
 
     q: float
@@ -116,8 +117,8 @@ class QContext:
     tol_rel: float = 1e-9
 
     def __post_init__(self):
-        if not (self.q > 0.0):
-            raise ValidationError(f"q must be positive, got {self.q}")
+        if not (0.0 < self.q < math.inf):
+            raise ValidationError(f"q must be positive and finite, got {self.q}")
         if abs(self.q - 1.0) <= 1e-12:
             raise ValidationError("q must differ from 1")
         if self.tol_abs <= 0.0 or self.tol_rel <= 0.0:

@@ -12,6 +12,7 @@ they are negligible, which turns that boundary property into a runtime check.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,18 @@ def _product(ctx: QContext, factors: list[HalfInt], plus: bool = False) -> tuple
 
 
 def _ratio(ctx: QContext, num: list[HalfInt], den: list[HalfInt],
-           where: str, num_plus: bool = False, den_plus: bool = False) -> float:
+           name: str, j: int, xi: GTPattern, num_plus: bool = False,
+           den_plus: bool = False) -> float:
+    """Quotient of two bracket products for coefficient `name` (entry j, 0
+    for none) at tableau xi; the message is only formatted when raising."""
     num_val, num_zero = _product(ctx, num, plus=num_plus)
     if num_zero:
         return 0.0
     den_val, den_zero = _product(ctx, den, plus=den_plus)
     if den_zero:
+        where = f"{name}^{j}" if j else name
         raise SingularCoefficientError(
-            f"vanishing denominator bracket in {where}: factors {den}")
+            f"vanishing denominator bracket in {where} at {xi}: factors {den}")
     return num_val / den_val
 
 
@@ -89,7 +94,7 @@ def _hat_a_squared(xi: GTPattern, j: int, level: int, ctx: QContext) -> float:
         if i != j - 1:
             den += [lm[i] + lj, lm[i] - lj,
                     lm[i] + lj + 1, lm[i] - lj - 1]
-    return _ratio(ctx, num, den, f"A^{j} at {xi}")
+    return _ratio(ctx, num, den, "A", j, xi)
 
 
 def _hat_b_squared(xi: GTPattern, j: int, level: int, ctx: QContext) -> float:
@@ -109,7 +114,7 @@ def _hat_b_squared(xi: GTPattern, j: int, level: int, ctx: QContext) -> float:
         if i != j - 1:
             den += [lm[i] + lj, lm[i] - lj,
                     lm[i] + lj - 1, lm[i] - lj - 1]
-    return _ratio(ctx, num, den, f"B^{j} at {xi}")
+    return _ratio(ctx, num, den, "B", j, xi)
 
 
 def _csqrt(x: float) -> complex:
@@ -155,7 +160,7 @@ def coeff_classical(xi: GTPattern, j: int, level: int, which: str,
         den: list[HalfInt] = []
         for i in range(p - 1):
             den += [lm[i], lm[i] - 1]
-        return complex(_ratio(ctx, num, den, f"C at {xi}"))
+        return complex(_ratio(ctx, num, den, "C", 0, xi))
     raise ValidationError(f"unknown classical coefficient kind {which!r}")
 
 
@@ -196,7 +201,8 @@ def coeff_nonclassical(xi: GTPattern, j: int, level: int, which: str,
         den: list[HalfInt] = []
         for i in range(p - 1):
             den += [lm[i], lm[i] - 1]
-        return _ratio(ctx, num, den, f"C~ at {xi}", num_plus=True, den_plus=True)
+        return _ratio(ctx, num, den, "C~", 0, xi, num_plus=True,
+                      den_plus=True)
     if which == "D":
         p = level // 2
         la = l_coords(xi.row(level + 1), level + 1)
@@ -206,7 +212,7 @@ def coeff_nonclassical(xi: GTPattern, j: int, level: int, which: str,
         den: list[HalfInt] = []
         for i in range(p - 1):
             den += [lm[i] + HALF, lm[i] - HALF]
-        return _ratio(ctx, num, den, f"D at {xi}")
+        return _ratio(ctx, num, den, "D", 0, xi)
     raise ValidationError(f"unknown nonclassical coefficient kind {which!r}")
 
 
@@ -219,52 +225,79 @@ def _raise_coeff(label: IrrepLabel, xi: GTPattern, j: int, level: int,
     return complex(coeff_nonclassical(xi, j, level, which, ctx))
 
 
+def generator_block(label: IrrepLabel, k: int, rows: dict[GTPattern, int],
+                    cols: Sequence[GTPattern], ctx: QContext) -> np.ndarray:
+    """Block of generator k with the tableaux of `rows` (tableau -> row
+    index) as rows and `cols` as columns.  Coefficients are evaluated inside
+    the block and, as a check that they are negligible, on every step from a
+    column tableau that leaves the lattice."""
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    guard = ctx.tolerance(1.0)
+    p = k // 2 if k % 2 == 0 else (k + 1) // 2
+    n_shift = p if k % 2 == 0 else p - 1
+    for col, xi in enumerate(cols):
+        truncate = (label.kind == NONCLASSICAL and k % 2 == 0
+                    and xi.m(k, p) == HALF)
+        for step in (+1, -1):
+            for j in range(1, n_shift + 1):
+                if step < 0 and truncate and j == p:
+                    continue
+                nb = xi.replace(k, j, step)
+                valid = nb.is_valid(label.kind)
+                row = rows.get(nb) if valid else None
+                if valid and row is None:
+                    continue
+                # raising at xi, lowering by the raising coefficient at nb
+                c = _raise_coeff(label, xi if step > 0 else nb, j, k, ctx)
+                if valid:
+                    mat[row, col] += c if step > 0 else -c
+                elif abs(c) > guard:
+                    raise SingularCoefficientError(
+                        f"out-of-lattice step {xi}->{nb} has coefficient {c}")
+        row = rows.get(xi)
+        if row is None:
+            continue
+        if k % 2 == 1:
+            if label.kind == CLASSICAL:
+                mat[row, col] += 1j * coeff_classical(xi, 0, k, "C", ctx)
+            else:
+                mat[row, col] += label.eps_for(k + 1) * coeff_nonclassical(
+                    xi, 0, k, "C", ctx)
+        elif label.kind == NONCLASSICAL and xi.m(k, p) == HALF:
+            dterm = coeff_nonclassical(xi, 0, k, "D", ctx)
+            mat[row, col] += label.eps_for(k + 1) * dterm / (
+                q_power(HALF, ctx) - q_power(-HALF, ctx))
+    return mat
+
+
 def build_generator(label: IrrepLabel, k: int, ctx: QContext) -> GeneratorMatrix:
     """Matrix of generator k (k = 1..n-1) on the tableau basis of `label`."""
     if not 1 <= k <= label.n - 1:
         raise ValidationError(f"generator index {k} out of range for n={label.n}")
     basis = enumerate_patterns(label)
-    d = basis.dim
-    mat = np.zeros((d, d), dtype=complex)
-    guard = ctx.tolerance(1.0)
-    p = k // 2 if k % 2 == 0 else (k + 1) // 2
-    n_shift = p if k % 2 == 0 else p - 1
-    for col, xi in enumerate(basis.patterns):
-        for j in range(1, n_shift + 1):
-            up = xi.replace(k, j, +1)
-            c = _raise_coeff(label, xi, j, k, ctx)
-            if up.is_valid(label.kind):
-                mat[basis.position(up), col] += c
-            elif abs(c) > guard:
-                raise SingularCoefficientError(
-                    f"out-of-lattice raise {xi}->{up} has coefficient {c}")
-        truncate = (label.kind == NONCLASSICAL and k % 2 == 0
-                    and xi.m(k, p) == HALF)
-        for j in range(1, n_shift + 1):
-            if truncate and j == p:
-                continue
-            down = xi.replace(k, j, -1)
-            c = _raise_coeff(label, down, j, k, ctx)
-            if down.is_valid(label.kind):
-                mat[basis.position(down), col] -= c
-            elif abs(c) > guard:
-                raise SingularCoefficientError(
-                    f"out-of-lattice lower {xi}->{down} has coefficient {c}")
-        if k % 2 == 1:
-            if label.kind == CLASSICAL:
-                mat[col, col] += 1j * coeff_classical(xi, 0, k, "C", ctx)
-            else:
-                mat[col, col] += label.eps_for(k + 1) * coeff_nonclassical(
-                    xi, 0, k, "C", ctx)
-        elif label.kind == NONCLASSICAL and xi.m(k, p) == HALF:
-            dterm = coeff_nonclassical(xi, 0, k, "D", ctx)
-            mat[col, col] += label.eps_for(k + 1) * dterm / (
-                q_power(HALF, ctx) - q_power(-HALF, ctx))
+    mat = generator_block(label, k, basis.index, basis.patterns, ctx)
     return GeneratorMatrix(label, f"I({k + 1},{k})", mat)
 
 
 def build_all_generators(label: IrrepLabel, ctx: QContext) -> list[GeneratorMatrix]:
     return [build_generator(label, k, ctx) for k in range(1, label.n)]
+
+
+def composite_chain(top: np.ndarray, row_gens: Sequence[np.ndarray],
+                    col_gens: Sequence[np.ndarray], sign: str, ctx: QContext,
+                    stop: int = 1) -> dict[int, np.ndarray]:
+    """Downward q-commutator recursion run on one block: `top` is the block
+    of generator m = len(row_gens) + 1, row_gens[lv - 1] and col_gens[lv - 1]
+    are generator lv on the row and column spaces, and entry l of the result
+    (m down to `stop`) is the block of I^sign(m+1, l)."""
+    s = +0.5 if sign == "+" else -0.5
+    qs, qsi = ctx.q ** s, ctx.q ** (-s)
+    current = top
+    out = {len(row_gens) + 1: current}
+    for lv in range(len(row_gens), stop - 1, -1):
+        current = qs * (row_gens[lv - 1] @ current) - qsi * (current @ col_gens[lv - 1])
+        out[lv] = current
+    return out
 
 
 def composite_generator(label: IrrepLabel, k: int, l: int, sign: str,
@@ -278,13 +311,9 @@ def composite_generator(label: IrrepLabel, k: int, l: int, sign: str,
         raise ValidationError(f"need n >= k > l >= 1, got k={k}, l={l}")
     if base is None:
         base = build_all_generators(label, ctx)
-    s = +0.5 if sign == "+" else -0.5
-    qs, qsi = ctx.q ** s, ctx.q ** (-s)
-    current = base[k - 2].mat
-    for lv in range(k - 2, l - 1, -1):
-        low = base[lv - 1].mat
-        current = qs * (low @ current) - qsi * (current @ low)
-    return GeneratorMatrix(label, f"I{sign}({k},{l})", current)
+    low = [g.mat for g in base[:k - 2]]
+    chain = composite_chain(base[k - 2].mat, low, low, sign, ctx, stop=l)
+    return GeneratorMatrix(label, f"I{sign}({k},{l})", chain[l])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ between two irreducible blocks factor into a block-pair constant times a
 primed inverse coupling coefficient; the constant is extracted by a weighted
 least-squares fit and the factorisation is certified by the spread of the
 individual ratios.
+
+The primed inverse coefficients of a block pair are the (target, source)
+blocks of the "+" composite generators of an auxiliary next-rank irrep,
+divided by one normalising ratio; `cgc.aux_blocks` computes all n slots of
+that block in one q-commutator pass without building the auxiliary irrep.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import numpy as np
 
 from .qarith import QContext, ValidationError
 from .gtbasis import (NONCLASSICAL, BasisIndex, GTPattern, IrrepLabel,
-                      branch_rows, covers, enumerate_patterns,
-                      extend_pattern, first_completion, rows_below)
-from .cgc import (AuxSearchError, Row, _cached_composite, _cached_generators,
-                  aux_candidates, top_cgc)
+                      branch_rows, enumerate_patterns)
+from .reps import composite_chain
+from .cgc import (Row, _cached_generators, admissible_aux, aux_blocks)
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,11 @@ def canonical_vector_operator(ambient: IrrepLabel, ctx: QContext) -> VectorOpera
     down to slot k, component n the plain top generator."""
     n = ambient.n - 1
     gens = _cached_generators(ambient, ctx)
-    components = []
-    for k in range(1, n + 1):
-        if k == n:
-            components.append(gens[n - 1].mat)
-        else:
-            components.append(_cached_composite(ambient, n + 1, k, "+", ctx).mat)
+    low = [g.mat for g in gens[:n - 1]]
+    chain = composite_chain(gens[n - 1].mat, low, low, "+", ctx)
     blocks = _restriction_blocks(ambient)
-    return VectorOperator(n, blocks, tuple(g.mat for g in gens[:n - 1]),
-                          tuple(components))
+    return VectorOperator(n, blocks, tuple(low),
+                          tuple(chain[k] for k in range(1, n + 1)))
 
 
 def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
@@ -171,86 +171,13 @@ def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
     return VectorOperator(a.n, tuple(blocks), gens, comps)
 
 
-def _inverse_block_scale(src_label: IrrepLabel, m_tgt: Row, aux: IrrepLabel,
-                         ctx: QContext) -> complex | None:
-    """Normalising ratio for the primed coefficients: the denominator swaps
-    bra and ket weights while the closed-form factor keeps the source-to-
-    target orientation."""
-    n = src_label.n
-    kind = src_label.kind
-    top_gen = _cached_generators(aux, ctx)[n - 1].mat
-    basis = enumerate_patterns(aux)
-    scale = float(np.abs(top_gen).max())
-    for m_hat in rows_below(src_label.m_top, n, kind):
-        if n - 1 >= 2 and not covers(m_tgt, m_hat, n, kind):
-            continue
-        third = top_cgc(src_label.m_top, m_tgt, m_hat, n, kind, ctx)
-        if abs(third) < 1e-12:
-            continue
-        if n - 1 >= 2:
-            completion = first_completion(m_hat, n - 1, kind) if n - 1 > 2 else ()
-            bra = GTPattern((aux.m_top, m_tgt, m_hat) + completion)
-            ket = GTPattern((aux.m_top, src_label.m_top, m_hat) + completion)
-        else:
-            bra = GTPattern((aux.m_top, m_tgt))
-            ket = GTPattern((aux.m_top, src_label.m_top))
-        den = top_gen[basis.position(bra), basis.position(ket)]
-        if abs(den) <= 1e-6 * scale:
-            return None
-        return den / third
-    return None
-
-
-class _InverseComputer:
-    """Primed inverse coupling coefficients for one (target, source) weight
-    pair under a fixed auxiliary weight."""
-
-    def __init__(self, src_label: IrrepLabel, m_tgt: Row, aux: IrrepLabel,
-                 mu: complex, ctx: QContext):
-        self.src_label = src_label
-        self.m_tgt = m_tgt
-        self.aux = aux
-        self.mu = mu
-        self.ctx = ctx
-        self.n = src_label.n
-        self.aux_basis = enumerate_patterns(aux)
-        self._components: dict[int, np.ndarray] = {}
-
-    def _component(self, k: int) -> np.ndarray:
-        if k not in self._components:
-            if k == self.n:
-                self._components[k] = _cached_generators(self.aux, self.ctx)[self.n - 1].mat
-            else:
-                self._components[k] = _cached_composite(
-                    self.aux, self.n + 1, k, "+", self.ctx).mat
-        return self._components[k]
-
-    def coefficient(self, k: int, tgt: GTPattern, src: GTPattern) -> complex:
-        mat = self._component(k)
-        bra = extend_pattern(self.aux.m_top, tgt)
-        ket = extend_pattern(self.aux.m_top, src)
-        num = mat[self.aux_basis.position(bra), self.aux_basis.position(ket)]
-        return num / self.mu
-
-
-def _inverse_computer(src_label: IrrepLabel, m_tgt: Row, ctx: QContext,
-                      aux: IrrepLabel | None = None) -> _InverseComputer:
-    if aux is not None:
-        mu = _inverse_block_scale(src_label, m_tgt, aux, ctx)
-        if mu is None:
-            raise AuxSearchError(
-                f"auxiliary weight {aux} unusable for inverse coefficients "
-                f"{src_label} -> {m_tgt}")
-        return _InverseComputer(src_label, m_tgt, aux, mu, ctx)
-    tried = []
-    for candidate in aux_candidates(src_label, m_tgt):
-        tried.append(candidate)
-        mu = _inverse_block_scale(src_label, m_tgt, candidate, ctx)
-        if mu is not None:
-            return _InverseComputer(src_label, m_tgt, candidate, mu, ctx)
-    raise AuxSearchError(
-        f"no auxiliary weight for inverse coefficients {src_label} -> {m_tgt};"
-        " tried " + ", ".join(repr(a) for a in tried))
+def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row, ctx: QContext,
+                    aux: IrrepLabel | None = None) -> dict[int, np.ndarray]:
+    """Primed inverse coefficients of every slot 1..n for one (target,
+    source) weight pair: slot k maps to a target x source array."""
+    (aux, mu), = admissible_aux(src_label, m_tgt, False, ctx, aux=aux)
+    blocks = aux_blocks(src_label.with_weight(m_tgt), src_label, aux, "+", ctx)
+    return {k: block / mu for k, block in blocks.items()}
 
 
 def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,
@@ -264,8 +191,9 @@ def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,
     m_tgt = tgt.row(n)
     if m_tgt not in branch_rows(src.row(n), n, kind):
         return 0j
-    comp = _inverse_computer(src_label, m_tgt, ctx, aux)
-    return comp.coefficient(k, tgt, src)
+    table = _inverse_blocks(src_label, m_tgt, ctx, aux)[k]
+    return table[enumerate_patterns(src_label.with_weight(m_tgt)).position(tgt),
+                 enumerate_patterns(src_label).position(src)]
 
 
 @dataclass(frozen=True)
@@ -330,18 +258,13 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext,
             if not _pair_admissible(bt, bs):
                 forbidden[key] = raw_max
                 continue
-            comp = _inverse_computer(bs.label, bt.label.m_top, ctx)
-            denoms, raws = [], []
-            for k in range(1, vop.n + 1):
-                vmat = vop.components[k - 1]
-                for i_t, tgt in enumerate(bt.basis.patterns):
-                    for i_s, src in enumerate(bs.basis.patterns):
-                        d = comp.coefficient(k, tgt, src)
-                        raw = vmat[bt.offset + i_t, bs.offset + i_s]
-                        denoms.append(d)
-                        raws.append(raw)
-            denoms = np.array(denoms)
-            raws = np.array(raws)
+            tables = _inverse_blocks(bs.label, bt.label.m_top, ctx)
+            denoms = np.concatenate(
+                [tables[k].ravel() for k in range(1, vop.n + 1)])
+            raws = np.concatenate(
+                [v[bt.offset:bt.offset + bt.dim,
+                   bs.offset:bs.offset + bs.dim].ravel()
+                 for v in vop.components])
             weight = np.abs(denoms) ** 2
             total = float(weight.sum())
             if total == 0.0:

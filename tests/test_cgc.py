@@ -1,16 +1,21 @@
 import cmath
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
-                      ValidationError, assemble_decomposition, branching_set,
-                      build_all_generators, dimension, enumerate_patterns,
-                      q_bracket, recurse_cgc, so2_coupled_vectors, so3_cgc,
+import qso_reps.reps
+from qso_reps import (CLASSICAL, NONCLASSICAL, GTPattern, HalfInt, IrrepLabel,
+                      QContext, ValidationError, assemble_decomposition,
+                      branching_set, build_all_generators,
+                      canonical_vector_operator, composite_generator,
+                      dimension, enumerate_patterns, q_bracket, recurse_cgc,
+                      reduced_matrix_elements, so2_coupled_vectors, so3_cgc,
                       tensor_rep, top_cgc)
-from qso_reps.cgc import (AuxSearchError, _admissible_scales, _BlockComputer,
+from qso_reps.cgc import (AuxSearchError, admissible_aux, aux_blocks,
                           aux_candidates, cgc_is_zero, decomposition_rank)
+from qso_reps.gtbasis import covers, first_completion, rows_below
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -149,13 +154,15 @@ def test_selection_rules_match_matrix_support():
     label = lab(4, (2, 2))
     src_basis = enumerate_patterns(label)
     for branch in branching_set(label.m_top, 4, CLASSICAL):
-        (aux, mu), = _admissible_scales(label, branch.row, CTX, want=1)
-        computer = _BlockComputer(label, branch.row, aux, mu, CTX)
-        tgt_basis = enumerate_patterns(label.with_weight(branch.row))
+        target = label.with_weight(branch.row)
+        (aux, _), = admissible_aux(label, branch.row, True, CTX)
+        blocks = aux_blocks(label, target, aux, "-", CTX)
+        tgt_basis = enumerate_patterns(target)
         for k in ("+", "-", 3, 4):
-            mat = computer._composite(2 if k in ("+", "-") else k)
-            for src in src_basis.patterns:
-                for tgt in tgt_basis.patterns:
+            mat = blocks[2 if k in ("+", "-") else k]
+            assert mat.shape == (src_basis.dim, tgt_basis.dim)
+            for i, src in enumerate(src_basis.patterns):
+                for j, tgt in enumerate(tgt_basis.patterns):
                     if not cgc_is_zero(k, src, tgt, CLASSICAL):
                         continue
                     if k in ("+", "-"):
@@ -164,12 +171,100 @@ def test_selection_rules_match_matrix_support():
                         other = "-" if k == "+" else "+"
                         if not cgc_is_zero(other, src, tgt, CLASSICAL):
                             continue
-                    bra = computer.aux_basis.index.get(
-                        tgt.__class__((aux.m_top,) + src.rows))
-                    ket = computer.aux_basis.index.get(
-                        tgt.__class__((aux.m_top,) + tgt.rows))
-                    assert bra is not None and ket is not None
-                    assert abs(mat[bra, ket]) <= 1e-10 * (1 + np.abs(mat).max())
+                    assert abs(mat[i, j]) <= 1e-10 * (1 + np.abs(mat).max())
+
+
+def _dense_mu(source, m_tgt, top, aux_basis, aux, forward):
+    """Normalising ratio read from the whole dense auxiliary top generator,
+    with the usability threshold against its largest entry."""
+    n, kind = source.n, source.kind
+    scale = float(np.abs(top).max())
+    for m_hat in rows_below(source.m_top, n, kind):
+        if not covers(m_tgt, m_hat, n, kind):
+            continue
+        third = top_cgc(source.m_top, m_tgt, m_hat, n, kind, CTX)
+        if abs(third) < 1e-12:
+            continue
+        tail = (m_hat,) + first_completion(m_hat, n - 1, kind)
+        i_src = aux_basis.position(GTPattern((aux.m_top, source.m_top) + tail))
+        i_tgt = aux_basis.position(GTPattern((aux.m_top, m_tgt) + tail))
+        den = top[i_src, i_tgt] if forward else top[i_tgt, i_src]
+        return None if abs(den) <= 1e-6 * scale else den / third
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_generators(aux):
+    return build_all_generators(aux, CTX)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_composite(aux, slot, sign):
+    return composite_generator(aux, aux.n, slot, sign, CTX,
+                               _dense_generators(aux)).mat
+
+
+@pytest.mark.parametrize("label", [
+    lab(5, (4, 2)),
+    lab(4, (2, 2)),
+    lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+    lab(3, (3,), NONCLASSICAL, (1, -1)),
+])
+def test_aux_blocks_match_dense_auxiliary_irrep(label):
+    n = label.n
+    for branch in branching_set(label.m_top, n, label.kind):
+        target = label.with_weight(branch.row)
+        picked = {True: [], False: []}
+        for aux in aux_candidates(label, branch.row):
+            if min(len(v) for v in picked.values()) >= 2:
+                break
+            base = _dense_generators(aux)
+            aux_basis = enumerate_patterns(aux)
+            top = base[n - 1].mat
+            for rows, cols in ((label, target), (target, label)):
+                pos = [[aux_basis.position(GTPattern((aux.m_top,) + p.rows))
+                        for p in enumerate_patterns(lbl).patterns]
+                       for lbl in (rows, cols)]
+                for sign in ("+", "-"):
+                    blocks = aux_blocks(rows, cols, aux, sign, CTX)
+                    assert sorted(blocks) == list(range(1, n + 1))
+                    for slot, block in blocks.items():
+                        dense = top if slot == n else _dense_composite(
+                            aux, slot, sign)
+                        want = dense[np.ix_(*pos)]
+                        scale = max(1.0, float(np.abs(dense).max()))
+                        assert np.abs(block - want).max() <= 1e-13 * scale
+            for forward in (True, False):
+                mu = _dense_mu(label, branch.row, top, aux_basis, aux, forward)
+                if mu is not None:
+                    picked[forward].append(aux)
+        for forward, dense_pick in picked.items():
+            assert dense_pick, (label, branch.row, forward)
+            got = [a for a, _ in admissible_aux(label, branch.row, forward,
+                                                CTX, want=2)]
+            assert got == dense_pick[:2]
+
+
+def test_no_auxiliary_irrep_is_built(monkeypatch):
+    built = []
+    real = qso_reps.reps.build_generator
+
+    def spy(label, k, ctx):
+        built.append(label)
+        return real(label, k, ctx)
+
+    monkeypatch.setattr(qso_reps.reps, "build_generator", spy)
+    # a q no other test uses, so no generator comes from a cache
+    ctx = QContext(1.2345)
+    for label in (lab(5, (4, 2)), lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
+        built.clear()
+        assemble_decomposition(label, ctx)
+        assert built and {b.n for b in built} == {label.n}
+    for ambient in (lab(5, (4, 2)), lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))):
+        vop = canonical_vector_operator(ambient, ctx)
+        built.clear()
+        reduced_matrix_elements(vop, ctx)
+        assert built and {b.n for b in built} == {ambient.n - 1}
 
 
 @pytest.mark.parametrize("label,expected_dims", [

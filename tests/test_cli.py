@@ -1,6 +1,6 @@
 import json
 
-from qso_reps import GeneratorMatrix
+from qso_reps import GeneratorMatrix, SingularCoefficientError
 from qso_reps.cli import main
 
 
@@ -150,3 +150,32 @@ def test_float_format_17_digits(capsys):
                     "--q", "1.3")
     # a scale entry like 1/sqrt(2) renders with full precision
     assert "0.70710678118654757" in out
+
+
+def test_check_rejects_infinite_q(capsys):
+    code, out, err = run(capsys, "check", "--algebra", "3", "--weight", "1",
+                         "--q", "inf")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_check_overflowing_q_exits_one(capsys):
+    code, out, err = run(capsys, "check", "--algebra", "3", "--weight", "1",
+                         "--q", "1e300")
+    assert code == 1 and out == ""
+    assert err.startswith("numerical error: OverflowError")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_singular_coefficient_exits_one(capsys, monkeypatch):
+    import qso_reps.cli as cli
+
+    def singular(label, ctx):
+        raise SingularCoefficientError("vanishing denominator bracket in A^1")
+
+    monkeypatch.setattr(cli, "build_all_generators", singular)
+    code, out, err = run(capsys, "check", "--algebra", "4", "--weight", "1,0",
+                         "--q", "1.3")
+    assert code == 1 and out == ""
+    assert err == ("numerical error: SingularCoefficientError: vanishing "
+                   "denominator bracket in A^1\n")
