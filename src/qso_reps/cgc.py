@@ -146,7 +146,7 @@ def aux_candidates(label: IrrepLabel, m_tgt: Row, margin: int = 3) -> list[Irrep
     """Dominant next-rank weights admitting both the source and target
     weights below them, ordered by increasing entry sum then entries."""
     n, kind = label.n, label.kind
-    cap = label.m_top[0] + margin
+    cap = abs(label.m_top[0]) + margin
     rows = [u for u in rows_above(label.m_top, n + 1, kind, cap)
             if covers(u, m_tgt, n + 1, kind)]
     rows.sort(key=lambda u: (sum(e.twice for e in u),

@@ -179,3 +179,13 @@ def test_singular_coefficient_exits_one(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err == ("numerical error: SingularCoefficientError: vanishing "
                    "denominator bracket in A^1\n")
+
+
+def test_reduced_rank_two_negative_weights(capsys):
+    # the aux cap must reach |m| for the negative so2 weights of so3(2)
+    code, out, err = run(capsys, "reduced", "--algebra", "2",
+                         "--ambient-weight", "2", "--q", "1.3")
+    assert code == 0, err
+    pairs = json.loads(out)["results"][0]["pairs"]
+    assert pairs
+    assert all(p["residual"] < 1e-8 for p in pairs)

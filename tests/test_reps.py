@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
-                      IrrepLabel, QContext, build_all_generators,
+                      IrrepLabel, QContext, SingularCoefficientError,
+                      build_all_generators,
                       build_generator, check_relations, coeff_classical,
                       coeff_nonclassical, composite_generator,
                       enumerate_patterns, q_bracket, q_bracket_plus, q_power)
@@ -202,3 +203,100 @@ def test_sparse_json_export():
     assert np.array_equal(rebuilt, gen.mat)
     rows_cols = [(r, c) for r, c, _, _ in data["triplets"]]
     assert rows_cols == sorted(rows_cols)
+
+
+def reference_generator(label, k, ctx):
+    """Generator k by a plain loop over every column and step that calls the
+    public coefficient formulas directly, with no memo."""
+    basis = enumerate_patterns(label)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    classical = label.kind == CLASSICAL
+    coeff = coeff_classical if classical else coeff_nonclassical
+    which = "A" if k % 2 == 0 else "B"
+    p = (k + 1) // 2
+    for col, xi in enumerate(basis.patterns):
+        half_line = not classical and k % 2 == 0 and xi.m(k, p) == H(1)
+        for j in range(1, k // 2 + 1):
+            up = xi.replace(k, j, +1)
+            if up in basis.index:
+                mat[basis.position(up), col] += coeff(xi, j, k, which, ctx)
+            down = xi.replace(k, j, -1)
+            if down in basis.index and not (half_line and j == p):
+                mat[basis.position(down), col] -= coeff(down, j, k, which, ctx)
+        if k % 2 == 1:
+            c = coeff(xi, 0, k, "C", ctx)
+            mat[col, col] += 1j * c if classical else label.eps_for(k + 1) * c
+        elif half_line:
+            mat[col, col] += label.eps_for(k + 1) * coeff(xi, 0, k, "D", ctx) / (
+                q_power(H(1), ctx) - q_power(H(-1), ctx))
+    return mat
+
+
+def test_memoised_generators_equal_plain_reference():
+    # the second q runs with the memo already holding entries of the first;
+    # each generator is built twice, so memo hits are compared as well
+    labels = [lab(5, (4, 2)), lab(6, (4, 2, 0)),
+              lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+              lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))]
+    for q in (1.3, 0.7):
+        ctx = QContext(q)
+        for label in labels:
+            for k in range(1, label.n):
+                want = reference_generator(label, k, ctx)
+                for _ in range(2):
+                    assert np.array_equal(build_generator(label, k, ctx).mat, want)
+
+
+@pytest.mark.parametrize("q", [1.37, 1.41])
+def test_memo_shared_across_eps_applies_each_sign(q):
+    # a fresh q per order, so the first label of each order fills the memo
+    # and the second reads it
+    first = lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))
+    second = lab(4, (3, 1), NONCLASSICAL, (-1, 1, -1))
+    if q == 1.41:
+        first, second = second, first
+    ctx = QContext(q)
+    for label in (first, second):
+        for k in range(1, label.n):
+            assert np.array_equal(build_generator(label, k, ctx).mat,
+                                  reference_generator(label, k, ctx))
+
+
+def test_out_of_lattice_guard_survives_memo(monkeypatch):
+    import qso_reps.reps as reps
+
+    real = reps._raise_coeff
+
+    def leaky(label, xi, j, level, ctx):
+        kind = label.kind
+        if xi.is_valid(kind) and xi.replace(level, j, +1).is_valid(kind):
+            return real(label, xi, j, level, ctx)
+        return 1.0
+
+    monkeypatch.setattr(reps, "_raise_coeff", leaky)
+    ctx = QContext(1.3, tol_abs=3e-9)  # not used elsewhere: the memo misses
+    with pytest.raises(SingularCoefficientError, match=r"out-of-lattice step \|"):
+        build_generator(lab(5, (4, 2)), 2, ctx)
+
+
+def test_coefficients_evaluated_once_per_row_triple(monkeypatch):
+    import qso_reps.reps as reps
+
+    calls = [0]
+    real = reps.coeff_classical
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(reps, "coeff_classical", counting)
+    label = lab(6, (4, 2, 0))
+    ctx = QContext(1.2345)  # not used elsewhere: every key is a miss
+    build_all_generators(label, ctx)
+    patterns = enumerate_patterns(label).patterns
+    keys = {(k, xi.row(k + 1), xi.row(k) if k >= 2 else None,
+             xi.row(k - 1) if k >= 3 else None)
+            for k in range(1, label.n) for xi in patterns}
+    # up and down for each entry of row k, plus the diagonal at odd k
+    most_steps = max(2 * (k // 2) + k % 2 for k in range(1, label.n))
+    assert 0 < calls[0] <= len(keys) * most_steps
