@@ -300,9 +300,7 @@ class CGCTable:
             return [[e.twice for e in row] for row in p.rows]
 
         return {
-            "source": {"n": self.source.n, "kind": self.source.kind,
-                       "weight": [e.twice for e in self.source.m_top],
-                       "eps": list(self.source.eps) if self.source.eps else None},
+            "source": self.source.to_jsonable(),
             "target": [e.twice for e in self.target.m_top],
             "entries": [
                 {"target_pattern": pat(t),

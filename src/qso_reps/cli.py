@@ -109,19 +109,10 @@ def _context(args, q: float) -> QContext:
     return QContext(q, tol_abs=tol, tol_rel=tol)
 
 
-def _label_jsonable(label: IrrepLabel) -> dict:
-    return {
-        "n": label.n,
-        "kind": label.kind,
-        "weight": [e.twice for e in label.m_top],
-        "eps": list(label.eps) if label.eps else None,
-    }
-
-
 def cmd_dim(args) -> int:
     label = _label_from(args)
     d = dimension(label)
-    payload = {"label": _label_jsonable(label), "dim": d, "patterns": d}
+    payload = {"label": label.to_jsonable(), "dim": d, "patterns": d}
     _emit(payload, [{"dim": d, "patterns": d}], args)
     return 0
 
@@ -147,7 +138,7 @@ def cmd_check(args) -> int:
         rows += [{"q": q, "relation": e.relation, "residual": e.residual,
                   "scale": e.scale, "passed": e.passed}
                  for e in report.entries]
-    payload = {"label": _label_jsonable(label), "results": results, "passed": ok}
+    payload = {"label": label.to_jsonable(), "results": results, "passed": ok}
     _emit(payload, rows, args)
     return 0 if ok else 1
 
@@ -182,7 +173,7 @@ def cmd_decompose(args) -> int:
             "dim_product": n * d,
             "sum_rule_ok": sum(b["dim"] for b in block_items) == n * d,
         })
-    payload = {"label": _label_jsonable(label), "results": results}
+    payload = {"label": label.to_jsonable(), "results": results}
     _emit(payload, rows, args)
     return 0
 
@@ -208,39 +199,30 @@ def cmd_reduced(args) -> int:
                 f"canonical operator failed covariance check at q={q}: "
                 f"max residual {report.max_residual:.3e}")
         reduced = reduced_matrix_elements(vop, ctx)
-        pairs = []
-        for (m_t, s_t, m_s, s_s), entry in reduced.entries.items():
-            if args.kind is not None and args.kind != ambient_kind:
-                continue
-            pairs.append({
-                "m_target": [e.twice for e in m_t], "s_target": s_t,
-                "m_source": [e.twice for e in m_s], "s_source": s_s,
-                "re": entry.value.real, "im": entry.value.imag,
-                "residual": entry.residual,
-            })
+        for (m_t, _, m_s, _), entry in reduced.entries.items():
             rows.append({"q": q,
                          "m_target": "(" + ",".join(str(e) for e in m_t) + ")",
                          "m_source": "(" + ",".join(str(e) for e in m_s) + ")",
                          "re": entry.value.real, "im": entry.value.imag,
                          "residual": entry.residual})
-        results.append({"q": q, "pairs": pairs,
+        results.append({"q": q, "pairs": reduced.to_jsonable()["pairs"],
                         "covariance_residual": report.max_residual})
-    payload = {"ambient": _label_jsonable(ambient), "algebra": n,
+    payload = {"ambient": ambient.to_jsonable(), "algebra": n,
                "results": results}
     _emit(payload, rows, args)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_weight: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_label: bool = True) -> None:
     parser.add_argument("--algebra", type=int, required=True, metavar="N",
                         help="rank n of the algebra")
-    parser.add_argument("--kind", choices=[CLASSICAL, NONCLASSICAL],
-                        default=CLASSICAL)
-    if with_weight:
+    if with_label:
+        parser.add_argument("--kind", choices=[CLASSICAL, NONCLASSICAL],
+                            default=CLASSICAL)
         parser.add_argument("--weight", required=True, metavar="LIST",
                             help="comma-separated entries, e.g. 1,0 or 3/2,1/2")
-    parser.add_argument("--eps", metavar="STR",
-                        help="sign string of length n-1, e.g. ++-")
+        parser.add_argument("--eps", metavar="STR",
+                            help="sign string of length n-1, e.g. ++-")
     parser.add_argument("--q", default="1.3,0.7", metavar="LIST",
                         help="comma-separated evaluation points")
     parser.add_argument("--tol", type=float, default=None,
@@ -274,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = sub.add_parser("reduced",
                            help="reduced matrix elements of the canonical "
                                 "vector operator of an ambient weight")
-    _add_common(p_red, with_weight=False)
+    _add_common(p_red, with_label=False)
     p_red.add_argument("--ambient-weight", required=True, metavar="LIST",
                        help="next-rank weight, length floor((n+1)/2)")
     p_red.add_argument("--ambient-kind", choices=[CLASSICAL, NONCLASSICAL],
                        default=None)
     p_red.add_argument("--ambient-eps", metavar="STR",
                        help="sign string of length n for the ambient label")
-    p_red.set_defaults(func=cmd_reduced, kind=None)
+    p_red.set_defaults(func=cmd_reduced)
     return parser
 
 

@@ -159,6 +159,12 @@ class IrrepLabel:
     def with_weight(self, m: tuple[HalfInt, ...]) -> "IrrepLabel":
         return IrrepLabel(self.n, self.kind, m, self.eps)
 
+    def to_jsonable(self) -> dict:
+        """Rank, kind, doubled weight entries and eps (None if classical)."""
+        return {"n": self.n, "kind": self.kind,
+                "weight": [e.twice for e in self.m_top],
+                "eps": list(self.eps) if self.eps else None}
+
     def __repr__(self) -> str:
         w = ",".join(str(e) for e in self.m_top)
         if self.kind == NONCLASSICAL:
@@ -229,14 +235,9 @@ class BasisIndex:
         return self.index[pattern]
 
     def to_jsonable(self) -> dict:
-        return {
-            "n": self.label.n,
-            "kind": self.label.kind,
-            "weight": [e.twice for e in self.label.m_top],
-            "eps": list(self.label.eps) if self.label.eps else None,
-            "patterns": [[[e.twice for e in row] for row in p.rows]
-                         for p in self.patterns],
-        }
+        return {**self.label.to_jsonable(),
+                "patterns": [[[e.twice for e in row] for row in p.rows]
+                             for p in self.patterns]}
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,14 @@ The generator attached to index k (k = 1..n-1) acts on the level-k row of a
 tableau.  Even k raises/lowers one entry of that row with square-root
 coefficients; odd k does the same on the smaller odd row and adds a diagonal
 term (imaginary for the classical family, eps-signed for the nonclassical
-one).  Transition coefficients vanish identically on every one-step
-excursion outside the tableau lattice; we evaluate them anyway and insist
-they are negligible, which turns that boundary property into a runtime check.
+one).  Both families share one set of coefficient formulas, `_coefficient`,
+whose parameter is the bracket pair: the classical family reads [x] where
+the nonclassical one reads [x]+, and the raising prefactor takes the
+complementary sum or difference of q-powers.  `coeff_classical` and
+`coeff_nonclassical` are its two entry points.  Transition coefficients
+vanish identically on every one-step excursion outside the tableau lattice;
+we evaluate them anyway and insist they are negligible, which turns that
+boundary property into a runtime check.
 
 Every coefficient of generator k reads only the rows at levels k+1, k and
 k-1 of the tableau it acts on, and the eps signs of nonclassical labels
@@ -70,14 +75,13 @@ def _product(ctx: QContext, factors: list[HalfInt], plus: bool = False) -> tuple
 
 
 def _ratio(ctx: QContext, num: list[HalfInt], den: list[HalfInt],
-           name: str, j: int, xi: GTPattern, num_plus: bool = False,
-           den_plus: bool = False) -> float:
+           name: str, j: int, xi: GTPattern, plus: bool = False) -> float:
     """Quotient of two bracket products for coefficient `name` (entry j, 0
     for none) at tableau xi; the message is only formatted when raising."""
-    num_val, num_zero = _product(ctx, num, plus=num_plus)
+    num_val, num_zero = _product(ctx, num, plus)
     if num_zero:
         return 0.0
-    den_val, den_zero = _product(ctx, den, plus=den_plus)
+    den_val, den_zero = _product(ctx, den, plus)
     if den_zero:
         where = f"{name}^{j}" if j else name
         raise SingularCoefficientError(
@@ -85,44 +89,26 @@ def _ratio(ctx: QContext, num: list[HalfInt], den: list[HalfInt],
     return num_val / den_val
 
 
-def _hat_a_squared(xi: GTPattern, j: int, level: int, ctx: QContext) -> float:
-    """Squared numerator of the even-row raising coefficient at entry j."""
-    p = level // 2
-    la = l_coords(xi.row(level + 1), level + 1)
-    lm = l_coords(xi.row(level), level)
-    lb = l_coords(xi.row(level - 1), level - 1) if p > 1 else ()
-    lj = lm[j - 1]
-    num: list[HalfInt] = []
-    for i in range(p):
-        num += [la[i] + lj, la[i] - lj - 1]
-    for i in range(p - 1):
-        num += [lb[i] + lj, lb[i] - lj - 1]
-    den: list[HalfInt] = []
-    for i in range(p):
-        if i != j - 1:
-            den += [lm[i] + lj, lm[i] - lj,
-                    lm[i] + lj + 1, lm[i] - lj - 1]
-    return _ratio(ctx, num, den, "A", j, xi)
-
-
-def _hat_b_squared(xi: GTPattern, j: int, level: int, ctx: QContext) -> float:
-    """Squared numerator of the odd-row raising coefficient at entry j."""
-    p = (level + 1) // 2
+def _hat_squared(xi: GTPattern, j: int, level: int, which: str,
+                 ctx: QContext) -> float:
+    """Squared numerator of the raising coefficient at entry j of row
+    `level`: which="A" for even rows, "B" for odd rows.  The two differ in
+    one numerator and one denominator shift."""
+    a, b = (1, 1) if which == "A" else (0, -1)
     la = l_coords(xi.row(level + 1), level + 1)
     lm = l_coords(xi.row(level), level)
     lb = l_coords(xi.row(level - 1), level - 1) if level - 1 >= 2 else ()
     lj = lm[j - 1]
     num: list[HalfInt] = []
-    for i in range(p):
-        num += [la[i] + lj, la[i] - lj]
-    for i in range(p - 1):
-        num += [lb[i] + lj, lb[i] - lj]
+    for x in la:
+        num += [x + lj, x - lj - a]
+    for x in lb:
+        num += [x + lj, x - lj - a]
     den: list[HalfInt] = []
-    for i in range(p - 1):
+    for i, x in enumerate(lm):
         if i != j - 1:
-            den += [lm[i] + lj, lm[i] - lj,
-                    lm[i] + lj - 1, lm[i] - lj - 1]
-    return _ratio(ctx, num, den, "B", j, xi)
+            den += [x + lj, x - lj, x + lj + b, x - lj - 1]
+    return _ratio(ctx, num, den, which, j, xi)
 
 
 def _csqrt(x: float) -> complex:
@@ -131,106 +117,71 @@ def _csqrt(x: float) -> complex:
     return complex(0.0, math.sqrt(-x))
 
 
+def _coefficient(xi: GTPattern, j: int, level: int, which: str,
+                 ctx: QContext, plus: bool) -> complex | float:
+    """Matrix-element coefficient of either family at a tableau.
+
+    `plus` selects the nonclassical family: its bracket [x]+ replaces [x] in
+    the linear denominator of B and throughout C, the prefactor of A takes
+    differences q^l - q^-l where the classical one takes sums, and the
+    result must come out real.  which="A": raising coefficient for entry j
+    of even row `level`; "B": the same for odd rows; "C": the diagonal
+    element of the odd-row generator; "D" (nonclassical only): the diagonal
+    element on the half line of an even row (j ignored for C and D).
+    """
+    name = f"{which}~" if plus else which
+    if which in ("A", "B"):
+        lj = l_coords(xi.row(level), level)[j - 1]
+        hat2 = _hat_squared(xi, j, level, which, ctx)
+        if hat2 == 0.0:
+            return 0.0
+        if which == "A":
+            # [l][l+1]/([2l][2l+2]) == 1/((q^l+q^-l)(q^(l+1)+q^-(l+1))), finite
+            # at l = 0; with [l]+[l+1]+ on top the sums become differences
+            s = -1.0 if plus else 1.0
+            pref = (q_power(lj, ctx) + s * q_power(-lj, ctx)) * (
+                q_power(lj + 1, ctx) + s * q_power(-lj - 1, ctx))
+            value = _csqrt(hat2 / pref)
+        else:
+            den_sq, den_zero = _product(ctx, [2 * lj + 1, 2 * lj - 1])
+            den_lin, lin_zero = _product(ctx, [lj], plus)
+            if den_zero or lin_zero:
+                raise SingularCoefficientError(
+                    f"vanishing bracket [{lj}] or [2l+-1] in {name}^{j} at {xi}")
+            value = _csqrt(hat2 / den_sq) / den_lin
+        if not plus:
+            return value
+        if abs(value.imag) > _ZERO_EPS * (1.0 + abs(value)):
+            raise SingularCoefficientError(
+                f"nonclassical {name}^{j} came out complex at {xi}")
+        return value.real
+    if which == "C" or (which == "D" and plus):
+        la = l_coords(xi.row(level + 1), level + 1)
+        lm = l_coords(xi.row(level), level) if level >= 2 else ()
+        lb = l_coords(xi.row(level - 1), level - 1) if level - 1 >= 2 else ()
+        den: list[HalfInt] = []
+        if which == "C":
+            for x in lm:
+                den += [x, x - 1]
+            value = _ratio(ctx, list(la + lb), den, name, 0, xi, plus)
+            return value if plus else complex(value)
+        for x in lm[:-1]:
+            den += [x + HALF, x - HALF]
+        return _ratio(ctx, [x - HALF for x in la + lb], den, name, 0, xi)
+    family = NONCLASSICAL if plus else CLASSICAL
+    raise ValidationError(f"unknown {family} coefficient kind {which!r}")
+
+
 def coeff_classical(xi: GTPattern, j: int, level: int, which: str,
                     ctx: QContext) -> complex:
-    """Classical-family matrix-element coefficient at a tableau.
-
-    which="A": raising coefficient for entry j of even row `level`;
-    which="B": same for odd rows; which="C": the diagonal element of the
-    odd-row generator (j ignored).
-    """
-    if which == "A":
-        lj = l_coords(xi.row(level), level)[j - 1]
-        hat2 = _hat_a_squared(xi, j, level, ctx)
-        if hat2 == 0.0:
-            return 0.0
-        # [l][l+1]/([2l][2l+2]) == 1/((q^l+q^-l)(q^(l+1)+q^-(l+1))), finite at l = 0
-        pref = (q_power(lj, ctx) + q_power(-lj, ctx)) * (
-            q_power(lj + 1, ctx) + q_power(-lj - 1, ctx))
-        return _csqrt(hat2 / pref)
-    if which == "B":
-        lj = l_coords(xi.row(level), level)[j - 1]
-        hat2 = _hat_b_squared(xi, j, level, ctx)
-        if hat2 == 0.0:
-            return 0.0
-        den_sq, den_zero = _product(ctx, [2 * lj + 1, 2 * lj - 1])
-        den_lin, lin_zero = _product(ctx, [lj])
-        if den_zero or lin_zero:
-            raise SingularCoefficientError(
-                f"vanishing bracket [{lj}] or [2l+-1] in B^{j} at {xi}")
-        return _csqrt(hat2 / den_sq) / den_lin
-    if which == "C":
-        p = (level + 1) // 2
-        la = l_coords(xi.row(level + 1), level + 1)
-        lm = l_coords(xi.row(level), level) if p > 1 else ()
-        lb = l_coords(xi.row(level - 1), level - 1) if level - 1 >= 2 else ()
-        num = list(la) + list(lb)
-        den: list[HalfInt] = []
-        for i in range(p - 1):
-            den += [lm[i], lm[i] - 1]
-        return complex(_ratio(ctx, num, den, "C", 0, xi))
-    raise ValidationError(f"unknown classical coefficient kind {which!r}")
+    """Classical-family coefficient; which in {"A","B","C"}."""
+    return _coefficient(xi, j, level, which, ctx, plus=False)
 
 
 def coeff_nonclassical(xi: GTPattern, j: int, level: int, which: str,
                        ctx: QContext) -> float:
     """Nonclassical-family coefficient; which in {"A","B","C","D"}."""
-    if which == "A":
-        lj = l_coords(xi.row(level), level)[j - 1]
-        hat2 = _hat_a_squared(xi, j, level, ctx)
-        if hat2 == 0.0:
-            return 0.0
-        pref = (q_power(lj, ctx) - q_power(-lj, ctx)) * (
-            q_power(lj + 1, ctx) - q_power(-lj - 1, ctx))
-        value = _csqrt(hat2 / pref)
-        if abs(value.imag) > _ZERO_EPS * (1.0 + abs(value)):
-            raise SingularCoefficientError(
-                f"nonclassical A^{j} came out complex at {xi}")
-        return value.real
-    if which == "B":
-        lj = l_coords(xi.row(level), level)[j - 1]
-        hat2 = _hat_b_squared(xi, j, level, ctx)
-        if hat2 == 0.0:
-            return 0.0
-        den_sq, den_zero = _product(ctx, [2 * lj + 1, 2 * lj - 1])
-        if den_zero:
-            raise SingularCoefficientError(f"vanishing [2l+-1] in B~^{j} at {xi}")
-        value = _csqrt(hat2 / den_sq) / q_bracket_plus(lj, ctx)
-        if abs(value.imag) > _ZERO_EPS * (1.0 + abs(value)):
-            raise SingularCoefficientError(
-                f"nonclassical B~^{j} came out complex at {xi}")
-        return value.real
-    if which == "C":
-        p = (level + 1) // 2
-        la = l_coords(xi.row(level + 1), level + 1)
-        lm = l_coords(xi.row(level), level) if p > 1 else ()
-        lb = l_coords(xi.row(level - 1), level - 1) if level - 1 >= 2 else ()
-        num = list(la) + list(lb)
-        den: list[HalfInt] = []
-        for i in range(p - 1):
-            den += [lm[i], lm[i] - 1]
-        return _ratio(ctx, num, den, "C~", 0, xi, num_plus=True,
-                      den_plus=True)
-    if which == "D":
-        p = level // 2
-        la = l_coords(xi.row(level + 1), level + 1)
-        lm = l_coords(xi.row(level), level)
-        lb = l_coords(xi.row(level - 1), level - 1) if p > 1 else ()
-        num = [la[i] - HALF for i in range(p)] + [lb[i] - HALF for i in range(p - 1)]
-        den: list[HalfInt] = []
-        for i in range(p - 1):
-            den += [lm[i] + HALF, lm[i] - HALF]
-        return _ratio(ctx, num, den, "D", 0, xi)
-    raise ValidationError(f"unknown nonclassical coefficient kind {which!r}")
-
-
-def _raise_coeff(label: IrrepLabel, xi: GTPattern, j: int, level: int,
-                 ctx: QContext) -> complex:
-    if label.kind == CLASSICAL:
-        which = "A" if level % 2 == 0 else "B"
-        return coeff_classical(xi, j, level, which, ctx)
-    which = "A" if level % 2 == 0 else "B"
-    return complex(coeff_nonclassical(xi, j, level, which, ctx))
+    return _coefficient(xi, j, level, which, ctx, plus=True)
 
 
 # Memo of `_column_action`, least recently used entry evicted first.  The
@@ -252,10 +203,13 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
     if action is not None:
         _action_memo.move_to_end(key)
         return action
+    # looked up here, not bound at import, so a rebound entry point is used
+    classical = label.kind == CLASSICAL
+    coeff = coeff_classical if classical else coeff_nonclassical
+    which = "A" if k % 2 == 0 else "B"
     guard = ctx.tolerance(1.0)
     p = (k + 1) // 2
-    truncate = (label.kind == NONCLASSICAL and k % 2 == 0
-                and xi.m(k, p) == HALF)
+    truncate = not classical and k % 2 == 0 and xi.m(k, p) == HALF
     steps: list[tuple[int, int, complex]] = []
     for step in (+1, -1):
         for j in range(1, k // 2 + 1):
@@ -263,7 +217,7 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
                 continue
             nb = xi.replace(k, j, step)
             # raising at xi, lowering by the raising coefficient at nb
-            c = _raise_coeff(label, xi if step > 0 else nb, j, k, ctx)
+            c = coeff(xi if step > 0 else nb, j, k, which, ctx)
             if nb.is_valid(label.kind):
                 steps.append((j, step, c if step > 0 else -c))
             elif abs(c) > guard:
@@ -271,12 +225,11 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
                     f"out-of-lattice step {xi}->{nb} has coefficient {c}")
     diag = None
     if k % 2 == 1:
-        if label.kind == CLASSICAL:
-            diag = 1j * coeff_classical(xi, 0, k, "C", ctx)
-        else:
-            diag = coeff_nonclassical(xi, 0, k, "C", ctx)
+        diag = coeff(xi, 0, k, "C", ctx)
+        if classical:
+            diag = 1j * diag
     elif truncate:
-        diag = coeff_nonclassical(xi, 0, k, "D", ctx) / (
+        diag = coeff(xi, 0, k, "D", ctx) / (
             q_power(HALF, ctx) - q_power(-HALF, ctx))
     _action_memo[key] = action = (steps, diag)
     if len(_action_memo) > _ACTION_MEMO_SIZE:

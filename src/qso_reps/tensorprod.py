@@ -118,14 +118,11 @@ class EmbeddingReport:
 
     relations: RelationReport
     hopf_residual: float       # k k^-1 = 1 and [e_i, f_i] = (k_i - k_i^-1)/(q - 1/q)
-    formula_residual: float    # embedded generators match their closed form
-    vector_residual: float     # closed form matches the vector representation
-    conjugator: tuple[int, ...]
+    vector_residual: float     # embedded generators match the vector representation
 
     @property
     def passed(self) -> bool:
         return (self.relations.all_passed and self.hopf_residual <= 1e-12
-                and self.formula_residual <= 1e-12
                 and self.vector_residual <= 1e-12)
 
 
@@ -133,9 +130,8 @@ def embedding_check(n: int, ctx: QContext) -> EmbeddingReport:
     """Verify that f_i - q^-1 k_i e_i realises the orthogonal-algebra
     generators inside quantum sl_n on the vector representation.
 
-    The embedded generators coincide entrywise with the vector
-    representation; the reported conjugator is therefore the identity sign
-    pattern, recorded so downstream tooling can state the basis match used.
+    The embedded generators coincide entrywise with the closed form of
+    `vector_rep`; `vector_residual` is the largest entry of the difference.
     """
     sl = sl_generators(n, ctx)
     hopf = 0.0
@@ -149,21 +145,7 @@ def embedding_check(n: int, ctx: QContext) -> EmbeddingReport:
     gens = [GeneratorMatrix(label, f"Iemb({i + 2},{i + 1})", m)
             for i, m in enumerate(embedded)]
     relations = check_relations(gens, ctx)
-
-    sq = ctx.q ** 0.5
-    formula = 0.0
-    for i in range(1, n):
-        closed = np.zeros((n, n), dtype=complex)
-        closed[i, i - 1] = -sq
-        closed[i - 1, i] = 1.0 / sq
-        formula = max(formula, float(np.abs(embedded[i - 1] - closed).max()))
-
-    conj = tuple([1] * n)
-    signs = np.diag(np.array(conj, dtype=complex))
     vec = vector_rep(n, ctx)
-    vector_residual = 0.0
-    for i in range(n - 1):
-        conjugated = signs @ embedded[i] @ signs
-        vector_residual = max(vector_residual,
-                              float(np.abs(conjugated - vec[i].mat).max()))
-    return EmbeddingReport(relations, hopf, formula, vector_residual, conj)
+    vector_residual = max(float(np.abs(embedded[i] - vec[i].mat).max())
+                          for i in range(n - 1))
+    return EmbeddingReport(relations, hopf, vector_residual)

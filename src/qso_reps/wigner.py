@@ -24,7 +24,7 @@ import numpy as np
 from .qarith import QContext, ValidationError
 from .gtbasis import (NONCLASSICAL, BasisIndex, GTPattern, IrrepLabel,
                       branch_rows, enumerate_patterns)
-from .reps import composite_chain
+from .reps import RelationReport, RelationResidual, composite_chain
 from .cgc import (Row, _cached_generators, admissible_aux, aux_blocks)
 
 
@@ -61,35 +61,14 @@ class VectorOperator:
                               tuple(c * v for v in self.components))
 
 
-@dataclass(frozen=True)
-class CovarianceResidual:
-    relation: str
-    residual: float
-    scale: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    entries: tuple[CovarianceResidual, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    @property
-    def max_residual(self) -> float:
-        return max((e.residual for e in self.entries), default=0.0)
-
-
-def check_vector_operator(vop: VectorOperator, ctx: QContext) -> CovarianceReport:
+def check_vector_operator(vop: VectorOperator, ctx: QContext) -> RelationReport:
     """Residuals of the q-commutator covariance identities and of the far
     commutators of a candidate vector operator."""
     shapes = {m.shape for m in vop.gens} | {m.shape for m in vop.components}
     if len(shapes) != 1:
         raise ValidationError(f"inconsistent operator shapes: {shapes}")
     sq = ctx.q ** 0.5
-    entries: list[CovarianceResidual] = []
+    entries: list[RelationResidual] = []
 
     def qcomm(x, y):
         return sq * (x @ y) - (y @ x) / sq
@@ -99,13 +78,13 @@ def check_vector_operator(vop: VectorOperator, ctx: QContext) -> CovarianceRepor
         lhs = qcomm(vop.components[j - 2], t)
         scale = max(float(np.abs(lhs).max()), float(np.abs(vop.components[j - 1]).max()), 1.0)
         res = float(np.linalg.norm(lhs - vop.components[j - 1]))
-        entries.append(CovarianceResidual(f"raise({j})", res, scale,
-                                          res <= ctx.tolerance(scale)))
+        entries.append(RelationResidual(f"raise({j})", res, scale,
+                                        res <= ctx.tolerance(scale)))
         lhs = qcomm(t, vop.components[j - 1])
         scale = max(float(np.abs(lhs).max()), float(np.abs(vop.components[j - 2]).max()), 1.0)
         res = float(np.linalg.norm(lhs - vop.components[j - 2]))
-        entries.append(CovarianceResidual(f"lower({j})", res, scale,
-                                          res <= ctx.tolerance(scale)))
+        entries.append(RelationResidual(f"lower({j})", res, scale,
+                                        res <= ctx.tolerance(scale)))
     for j in range(2, vop.n + 1):
         t = vop.gens[j - 2]
         for k in range(1, vop.n + 1):
@@ -114,9 +93,9 @@ def check_vector_operator(vop: VectorOperator, ctx: QContext) -> CovarianceRepor
             ab, ba = t @ vop.components[k - 1], vop.components[k - 1] @ t
             scale = max(float(np.abs(ab).max()), float(np.abs(ba).max()), 1.0)
             res = float(np.linalg.norm(ab - ba))
-            entries.append(CovarianceResidual(f"far({j},{k})", res, scale,
-                                              res <= ctx.tolerance(scale)))
-    return CovarianceReport(tuple(entries))
+            entries.append(RelationResidual(f"far({j},{k})", res, scale,
+                                            res <= ctx.tolerance(scale)))
+    return RelationReport(tuple(entries))
 
 
 def _restriction_blocks(ambient: IrrepLabel) -> tuple[AmbientBlock, ...]:

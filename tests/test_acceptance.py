@@ -250,8 +250,7 @@ def test_criterion_7_embedding():
     for n in (3, 4, 5):
         for q in QS:
             report = embedding_check(n, QContext(q))
-            residual = max(report.hopf_residual, report.formula_residual,
-                           report.vector_residual,
+            residual = max(report.hopf_residual, report.vector_residual,
                            report.relations.max_residual)
             worst = max(worst, residual)
             if not report.passed or residual > 1e-12:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qso_reps import GeneratorMatrix, SingularCoefficientError
 from qso_reps.cli import main
 
@@ -107,12 +109,17 @@ def test_reduced_table(capsys):
     assert all(p["residual"] < 1e-8 for p in pairs)
 
 
-def test_reduced_cross_sector_filter_empty(capsys):
-    code, out, _ = run(capsys, "reduced", "--algebra", "4",
-                       "--ambient-weight", "1,0", "--kind", "nonclassical",
-                       "--q", "1.3")
-    assert code == 0
-    assert json.loads(out)["results"][0]["pairs"] == []
+def test_reduced_kind_or_eps_is_usage_error(capsys):
+    # reduced reads its label from --ambient-*; --kind and --eps are refused
+    for extra in (["--kind", "nonclassical"], ["--eps", "+++"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduced", "--algebra", "4", "--ambient-weight", "1,0",
+                  "--q", "1.3", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " + " ".join(extra) in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_reduced_malformed_weight(capsys):

@@ -2,12 +2,13 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
                       IrrepLabel, QContext, SingularCoefficientError,
                       build_all_generators,
-                      build_generator, check_relations, coeff_classical,
-                      coeff_nonclassical, composite_generator,
+                      ValidationError, build_generator, check_relations,
+                      coeff_classical, coeff_nonclassical, composite_generator,
                       enumerate_patterns, q_bracket, q_bracket_plus, q_power)
 
 H = HalfInt
@@ -66,6 +67,50 @@ def test_nonclassical_so3_matches_explicit_forms():
           * (q_power(H(3), CTX) - q_power(H(-3), CTX))) ** -0.5
     want = dm * cmath.sqrt(q_bracket(H(5) - H(1), CTX) * q_bracket(H(5) + H(3), CTX))
     assert coeff_nonclassical(xi, 1, 2, "A", CTX) == pytest.approx(want)
+
+
+def test_unknown_coefficient_kind_rejected():
+    xi = enumerate_patterns(lab(5, (4, 2))).patterns[0]
+    eta = enumerate_patterns(lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))).patterns[0]
+    for coeff, tableau in ((coeff_classical, xi), (coeff_nonclassical, eta)):
+        with pytest.raises(ValidationError, match="coefficient kind 'E'"):
+            coeff(tableau, 1, 2, "E", CTX)
+    with pytest.raises(ValidationError, match="classical coefficient kind 'D'"):
+        coeff_classical(xi, 0, 2, "D", CTX)
+
+
+@st.composite
+def dominant_labels(draw, max_dim=60):
+    """Random dominant label of either family, every eps, dimension capped."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from([CLASSICAL, NONCLASSICAL]))
+    entries = sorted(draw(st.lists(st.integers(0, 3), min_size=n // 2,
+                                   max_size=n // 2)), reverse=True)
+    if kind == NONCLASSICAL:
+        twice = [2 * e + 1 for e in entries]
+        eps = tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=n - 1,
+                                  max_size=n - 1)))
+    else:
+        offset = draw(st.integers(0, 1))  # one parity for the whole row
+        twice = [2 * e + offset for e in entries]
+        if n % 2 == 0 and draw(st.booleans()):
+            twice[-1] = -twice[-1]
+        eps = None
+    label = lab(n, twice, kind, eps)
+    assume(enumerate_patterns(label).dim <= max_dim)
+    return label
+
+
+@settings(max_examples=30, deadline=None)
+@given(label=dominant_labels(),
+       q=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)))
+def test_random_labels_satisfy_relations(label, q):
+    ctx = QContext(q)
+    mats = build_all_generators(label, ctx)
+    report = check_relations(mats, ctx)
+    assert report.all_passed, report.failures()
+    if label.kind == NONCLASSICAL:
+        assert all(np.abs(g.mat.imag).max() == 0.0 for g in mats)
 
 
 def test_nonclassical_matrices_are_real():
@@ -265,15 +310,14 @@ def test_memo_shared_across_eps_applies_each_sign(q):
 def test_out_of_lattice_guard_survives_memo(monkeypatch):
     import qso_reps.reps as reps
 
-    real = reps._raise_coeff
+    real = reps.coeff_classical
 
-    def leaky(label, xi, j, level, ctx):
-        kind = label.kind
-        if xi.is_valid(kind) and xi.replace(level, j, +1).is_valid(kind):
-            return real(label, xi, j, level, ctx)
+    def leaky(xi, j, level, which, ctx):
+        if xi.is_valid(CLASSICAL) and xi.replace(level, j, +1).is_valid(CLASSICAL):
+            return real(xi, j, level, which, ctx)
         return 1.0
 
-    monkeypatch.setattr(reps, "_raise_coeff", leaky)
+    monkeypatch.setattr(reps, "coeff_classical", leaky)
     ctx = QContext(1.3, tol_abs=3e-9)  # not used elsewhere: the memo misses
     with pytest.raises(SingularCoefficientError, match=r"out-of-lattice step \|"):
         build_generator(lab(5, (4, 2)), 2, ctx)
