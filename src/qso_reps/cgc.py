@@ -56,13 +56,13 @@ def so2_coupled_vectors(m: HalfInt, kind: str, eps2: int,
     nonclassical lowering vector at m = 1/2 couples back to weight 1/2.
     """
     if kind == CLASSICAL:
-        vp = np.array([-1j * q_power(m - HALF, ctx), 1.0], dtype=complex)
-        vm = np.array([+1j * q_power(-m - HALF, ctx), 1.0], dtype=complex)
-        return vp, vm
-    if m < HALF:
+        up, down = -1j, +1j
+    elif m < HALF:
         raise ValidationError("nonclassical rank-2 weights start at 1/2")
-    vp = np.array([-eps2 * q_power(m - HALF, ctx), 1.0], dtype=complex)
-    vm = np.array([-eps2 * q_power(-m - HALF, ctx), 1.0], dtype=complex)
+    else:
+        up = down = -eps2
+    vp = np.array([up * q_power(m - HALF, ctx), 1.0], dtype=complex)
+    vm = np.array([down * q_power(-m - HALF, ctx), 1.0], dtype=complex)
     return vp, vm
 
 
@@ -96,18 +96,13 @@ def top_cgc(m_src: Row, m_tgt: Row, m_below: Row, level: int, kind: str,
         return 0j
     j, step = diff[0]
     lj = lsrc[j]
+    # raising reads [l+r][l-r], lowering shifts both arguments down by one;
+    # at even levels the second argument sits one higher
+    a = 0 if step > 0 else -1
+    b = a + 1 - level % 2
     product = 1.0
     for lr in lbel:
-        if level % 2 == 1:
-            if step > 0:
-                product *= q_bracket(lj + lr, ctx) * q_bracket(lj - lr, ctx)
-            else:
-                product *= q_bracket(lj + lr - 1, ctx) * q_bracket(lj - lr - 1, ctx)
-        else:
-            if step > 0:
-                product *= q_bracket(lj + lr, ctx) * q_bracket(lj - lr + 1, ctx)
-            else:
-                product *= q_bracket(lj + lr - 1, ctx) * q_bracket(lj - lr, ctx)
+        product *= q_bracket(lj + lr + a, ctx) * q_bracket(lj - lr + b, ctx)
     return cmath.sqrt(product)
 
 
@@ -142,11 +137,15 @@ def _cached_generators(label: IrrepLabel, ctx: QContext) -> tuple[GeneratorMatri
     return tuple(build_all_generators(label, ctx))
 
 
-def aux_candidates(label: IrrepLabel, m_tgt: Row, margin: int = 3) -> list[IrrepLabel]:
+# how far the first auxiliary entry may exceed that of the source weight
+_AUX_MARGIN = 3
+
+
+def aux_candidates(label: IrrepLabel, m_tgt: Row) -> list[IrrepLabel]:
     """Dominant next-rank weights admitting both the source and target
     weights below them, ordered by increasing entry sum then entries."""
     n, kind = label.n, label.kind
-    cap = abs(label.m_top[0]) + margin
+    cap = abs(label.m_top[0]) + _AUX_MARGIN
     rows = [u for u in rows_above(label.m_top, n + 1, kind, cap)
             if covers(u, m_tgt, n + 1, kind)]
     rows.sort(key=lambda u: (sum(e.twice for e in u),
@@ -210,7 +209,7 @@ def _block_mu(source: IrrepLabel, m_tgt: Row, top: np.ndarray, forward: bool,
         if n - 1 >= 2 and not covers(m_tgt, m_hat, n, kind):
             continue
         third = top_cgc(source.m_top, m_tgt, m_hat, n, kind, ctx)
-        if abs(third) < 1e-12:
+        if third == 0:
             continue
         tail = (m_hat,) + first_completion(m_hat, n - 1, kind) if n - 1 >= 2 else ()
         i_src = src_basis.position(GTPattern((source.m_top,) + tail))
@@ -296,15 +295,12 @@ class CGCTable:
     entries: tuple[tuple[GTPattern, tuple[tuple[str, GTPattern, complex], ...]], ...]
 
     def to_jsonable(self) -> dict:
-        def pat(p: GTPattern) -> list[list[int]]:
-            return [[e.twice for e in row] for row in p.rows]
-
         return {
             "source": self.source.to_jsonable(),
             "target": [e.twice for e in self.target.m_top],
             "entries": [
-                {"target_pattern": pat(t),
-                 "terms": [{"k": k, "source_pattern": pat(s),
+                {"target_pattern": t.to_jsonable(),
+                 "terms": [{"k": k, "source_pattern": s.to_jsonable(),
                             "re": float(v.real), "im": float(v.imag)}
                            for k, s, v in terms]}
                 for t, terms in self.entries
@@ -401,10 +397,7 @@ def _build_matrix(label: IrrepLabel, entries, src_basis: BasisIndex,
     return mat
 
 
-def assemble_decomposition(label: IrrepLabel, ctx: QContext,
-                           t_mats: list[GeneratorMatrix] | None = None,
-                           verify_second_aux: bool = True,
-                           ) -> dict[Row, Intertwiner]:
+def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intertwiner]:
     """Decompose the vector-representation tensor product of `label` into
     irreducible blocks with explicit intertwiners.
 
@@ -413,19 +406,16 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext,
     and recomputed under a second auxiliary weight when one exists.
     """
     n = label.n
-    if t_mats is None:
-        t_mats = list(_cached_generators(label, ctx))
-    big = tensor_rep(t_mats, ctx)
+    big = tensor_rep(list(_cached_generators(label, ctx)), ctx)
     out: dict[Row, Intertwiner] = {}
     for branch in branching_set(label.m_top, n, label.kind):
         m_tgt = branch.row
         target_label = label.with_weight(m_tgt)
-        scales = admissible_aux(label, m_tgt, True, ctx,
-                                want=2 if verify_second_aux else 1)
+        scales = admissible_aux(label, m_tgt, True, ctx, want=2)
         aux, mu = scales[0]
         slots = _slot_tables(label, target_label, aux, mu, ctx)
         entries = _compute_block_table(label, target_label, slots, ctx)
-        if verify_second_aux and len(scales) > 1:
+        if len(scales) > 1:
             aux2, mu2 = scales[1]
             other = _slot_tables(label, target_label, aux2, mu2, ctx)
             for slot, (_, values) in slots.items():
@@ -475,12 +465,21 @@ def so3_cgc(l: HalfInt, l_target: HalfInt, kind: str,
     product vectors.
 
     alpha pairs the source line m-1, beta the source line m, gamma the source
-    line m+1; in the nonclassical table at m = 1/2 alpha instead pairs the
-    source line 1/2 through the lowering vector.
+    line m+1.  One table serves both families; the nonclassical one differs
+    in five places: m runs over 1/2..l_target only, the normalisation takes
+    differences q^m - q^-m where the classical one takes sums, alpha on the
+    self-coupled block changes sign, the middle self-coupling reads [m]+ for
+    [m], and at m = 1/2 alpha instead pairs the source line 1/2 through the
+    lowering vector.
+
+    Written out from the closed forms, independently of `top_cgc` and the
+    auxiliary-weight recursion, so it can serve as their reference.
     """
     targets = branch_rows((l,), 3, kind)
     if (l_target,) not in targets:
         raise ValidationError(f"target {l_target} not admissible for l={l}")
+    plus = kind == NONCLASSICAL
+    s = -1.0 if plus else 1.0
 
     def qp(a):
         return q_power(a, ctx)
@@ -488,66 +487,36 @@ def so3_cgc(l: HalfInt, l_target: HalfInt, kind: str,
     def br(a):
         return q_bracket(a, ctx)
 
-    def brp(a):
-        return q_bracket_plus(a, ctx)
-
-    def rsqrt(x):
-        return cmath.sqrt(x)
+    def dm(m):
+        return ((qp(m) + s * qp(-m)) * (qp(m + 1) + s * qp(-m - 1))) ** -0.5
 
     out: dict[HalfInt, tuple[complex, complex, complex]] = {}
-    if kind == CLASSICAL:
-        def dm(m):
-            return ((qp(m) + qp(-m)) * (qp(m + 1) + qp(-m - 1))) ** -0.5
-
-        m = -l_target
-        while m <= l_target:
-            if l_target == l + 1:
-                a = qp(l - m + HALF) * dm(m - 1) * rsqrt(br(l + m) * br(l + m + 1))
-                b = rsqrt(br(l - m + 1) * br(l + m + 1))
-                g = -qp(l + m + HALF) * dm(m) * rsqrt(br(l - m) * br(l - m + 1))
-            elif l_target == l:
-                a = -qp(-m - HALF) * dm(m - 1) * rsqrt(br(l + m) * br(l - m + 1))
-                b = complex(br(m))
-                g = -qp(m - HALF) * dm(m) * rsqrt(br(l - m) * br(l + m + 1))
-            else:
-                a = -qp(-l - m - HALF) * dm(m - 1) * rsqrt(br(l - m) * br(l - m + 1))
-                b = rsqrt(br(l - m) * br(l + m))
-                g = qp(-l + m - HALF) * dm(m) * rsqrt(br(l + m) * br(l + m + 1))
-            out[m] = (a, b, g)
-            m = m + 1
-        return out
-
-    e3 = eps[1]
-
-    def dtm(m):
-        return ((qp(m) - qp(-m)) * (qp(m + 1) - qp(-m - 1))) ** -0.5
-
-    m = HALF
+    m = HALF if plus else -l_target
     while m <= l_target:
-        if m == HALF:
+        if plus and m == HALF:
             # lowering-vector coefficients paired with the source line 1/2
+            e3, brp = eps[1], q_bracket_plus(HALF, ctx)
             if l_target == l + 1:
-                a = -qp(l) * brp(HALF) * e3 * rsqrt(br(l + HALF) * br(l + HALF + 1))
+                a = -qp(l) * brp * e3 * cmath.sqrt(br(l + HALF) * br(l + HALF + 1))
             elif l_target == l:
-                a = -qp(-1) * brp(HALF) * e3 * br(l + HALF)
+                a = -qp(-1) * brp * e3 * br(l + HALF)
             else:
-                a = qp(-l - 1) * brp(HALF) * e3 * rsqrt(br(l - HALF) * br(l + HALF))
-        else:
-            if l_target == l + 1:
-                a = qp(l - m + HALF) * dtm(m - 1) * rsqrt(br(l + m) * br(l + m + 1))
-            elif l_target == l:
-                a = qp(-m - HALF) * dtm(m - 1) * rsqrt(br(l + m) * br(l - m + 1))
-            else:
-                a = -qp(-l - m - HALF) * dtm(m - 1) * rsqrt(br(l - m) * br(l - m + 1))
-        if l_target == l + 1:
-            b = rsqrt(br(l - m + 1) * br(l + m + 1))
-            g = -qp(l + m + HALF) * dtm(m) * rsqrt(br(l - m) * br(l - m + 1))
+                a = qp(-l - 1) * brp * e3 * cmath.sqrt(br(l - HALF) * br(l + HALF))
+        elif l_target == l + 1:
+            a = qp(l - m + HALF) * dm(m - 1) * cmath.sqrt(br(l + m) * br(l + m + 1))
         elif l_target == l:
-            b = complex(brp(m))
-            g = -qp(m - HALF) * dtm(m) * rsqrt(br(l - m) * br(l + m + 1))
+            a = -s * qp(-m - HALF) * dm(m - 1) * cmath.sqrt(br(l + m) * br(l - m + 1))
         else:
-            b = rsqrt(br(l - m) * br(l + m))
-            g = qp(-l + m - HALF) * dtm(m) * rsqrt(br(l + m) * br(l + m + 1))
+            a = -qp(-l - m - HALF) * dm(m - 1) * cmath.sqrt(br(l - m) * br(l - m + 1))
+        if l_target == l + 1:
+            b = cmath.sqrt(br(l - m + 1) * br(l + m + 1))
+            g = -qp(l + m + HALF) * dm(m) * cmath.sqrt(br(l - m) * br(l - m + 1))
+        elif l_target == l:
+            b = complex(q_bracket_plus(m, ctx) if plus else br(m))
+            g = -qp(m - HALF) * dm(m) * cmath.sqrt(br(l - m) * br(l + m + 1))
+        else:
+            b = cmath.sqrt(br(l - m) * br(l + m))
+            g = qp(-l + m - HALF) * dm(m) * cmath.sqrt(br(l + m) * br(l + m + 1))
         out[m] = (a, b, g)
         m = m + 1
     return out

@@ -98,7 +98,8 @@ def _label_from(args, *, kind_attr="kind", weight_attr="weight",
     eps_text = getattr(args, eps_attr, None)
     eps = _parse_eps(eps_text) if (eps_text and kind == NONCLASSICAL) else None
     if kind == NONCLASSICAL and eps is None:
-        raise ValidationError("nonclassical labels need --eps")
+        flag = "--" + eps_attr.replace("_", "-")
+        raise ValidationError(f"nonclassical labels need {flag}")
     return IrrepLabel(n if n is not None else args.algebra, kind, weight, eps)
 
 
@@ -126,18 +127,12 @@ def cmd_check(args) -> int:
         ctx = _context(args, q)
         report = check_relations(build_all_generators(label, ctx), ctx)
         ok = ok and report.all_passed
-        results.append({
-            "q": q,
-            "passed": report.all_passed,
-            "relations": [
-                {"relation": e.relation, "residual": e.residual,
-                 "scale": e.scale, "passed": e.passed}
-                for e in report.entries
-            ],
-        })
-        rows += [{"q": q, "relation": e.relation, "residual": e.residual,
-                  "scale": e.scale, "passed": e.passed}
-                 for e in report.entries]
+        relations = [{"relation": e.relation, "residual": e.residual,
+                      "scale": e.scale, "passed": e.passed}
+                     for e in report.entries]
+        results.append({"q": q, "passed": report.all_passed,
+                        "relations": relations})
+        rows += [{"q": q, **r} for r in relations]
     payload = {"label": label.to_jsonable(), "results": results, "passed": ok}
     _emit(payload, rows, args)
     return 0 if ok else 1
@@ -180,14 +175,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_reduced(args) -> int:
     n = args.algebra
-    ambient_kind = args.ambient_kind or CLASSICAL
-    ambient_eps = None
-    if ambient_kind == NONCLASSICAL:
-        if not args.ambient_eps:
-            raise ValidationError("nonclassical ambient needs --ambient-eps")
-        ambient_eps = _parse_eps(args.ambient_eps)
-    ambient = IrrepLabel(n + 1, ambient_kind, _parse_weight(args.ambient_weight),
-                         ambient_eps)
+    ambient = _label_from(args, kind_attr="ambient_kind",
+                          weight_attr="ambient_weight", eps_attr="ambient_eps",
+                          n=n + 1)
     results = []
     rows = []
     for q in _parse_qs(args.q):
@@ -260,16 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--ambient-weight", required=True, metavar="LIST",
                        help="next-rank weight, length floor((n+1)/2)")
     p_red.add_argument("--ambient-kind", choices=[CLASSICAL, NONCLASSICAL],
-                       default=None)
+                       default=CLASSICAL)
     p_red.add_argument("--ambient-eps", metavar="STR",
                        help="sign string of length n for the ambient label")
     p_red.set_defaults(func=cmd_reduced)
     return parser
 
 
+def _attach_sign_strings(argv: list[str]) -> list[str]:
+    """Rewrite `--eps X` as `--eps=X` (likewise `--ambient-eps`) when X is a
+    sign string starting with `-`, which argparse would read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in ("--eps", "--ambient-eps")
+                and arg.startswith("-") and set(arg) <= {"+", "-"}):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_sign_strings(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValidationError, ValueError) as exc:

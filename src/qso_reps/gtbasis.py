@@ -210,6 +210,10 @@ class GTPattern:
         """Rows from `level` down to 2 (the sub-tableau shared in lookups)."""
         return self.rows[self.n - level:]
 
+    def to_jsonable(self) -> list[list[int]]:
+        """Rows top first, each as doubled entries."""
+        return [[e.twice for e in row] for row in self.rows]
+
     def __repr__(self) -> str:
         return "|" + ";".join(",".join(str(e) for e in r) for r in self.rows) + ">"
 
@@ -236,8 +240,7 @@ class BasisIndex:
 
     def to_jsonable(self) -> dict:
         return {**self.label.to_jsonable(),
-                "patterns": [[[e.twice for e in row] for row in p.rows]
-                             for p in self.patterns]}
+                "patterns": [p.to_jsonable() for p in self.patterns]}
 
 
 @lru_cache(maxsize=None)

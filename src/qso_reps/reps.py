@@ -8,10 +8,12 @@ one).  Both families share one set of coefficient formulas, `_coefficient`,
 whose parameter is the bracket pair: the classical family reads [x] where
 the nonclassical one reads [x]+, and the raising prefactor takes the
 complementary sum or difference of q-powers.  `coeff_classical` and
-`coeff_nonclassical` are its two entry points.  Transition coefficients
-vanish identically on every one-step excursion outside the tableau lattice;
-we evaluate them anyway and insist they are negligible, which turns that
-boundary property into a runtime check.
+`coeff_nonclassical` are its two entry points.  Their factors are
+q-brackets of half-integer arguments; [x] vanishes only at x = 0 and [x]+
+never, so zeros are decided from the arguments, not by a float threshold.
+Transition coefficients vanish identically on every one-step excursion
+outside the tableau lattice; we evaluate them anyway and insist they come
+out exactly 0, which turns that boundary property into a runtime check.
 
 Every coefficient of generator k reads only the rows at levels k+1, k and
 k-1 of the tableau it acts on, and the eps signs of nonclassical labels
@@ -23,6 +25,7 @@ bit-identical values, and the out-of-lattice check runs once per key.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -34,10 +37,6 @@ from .qarith import (HalfInt, QContext, SingularCoefficientError,
                      ValidationError, q_bracket, q_bracket_plus, q_power)
 from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, GTPattern, IrrepLabel,
                       enumerate_patterns, l_coords)
-
-# numerator factors below this size are exact boundary zeros; denominators
-# this small indicate an invalid tableau slipped through validation
-_ZERO_EPS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -52,37 +51,37 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def to_jsonable(self, tol: float = 0.0) -> dict:
+    def to_jsonable(self) -> dict:
         triplets = []
         for r in range(self.mat.shape[0]):
             for c in range(self.mat.shape[1]):
                 v = self.mat[r, c]
-                if abs(v) > tol:
+                if v != 0:
                     triplets.append([r, c, float(v.real), float(v.imag)])
         return {"dim": self.dim, "gen": self.gen, "triplets": triplets}
 
 
-def _product(ctx: QContext, factors: list[HalfInt], plus: bool = False) -> tuple[float, bool]:
-    """Product of q-brackets; the flag reports an exact zero factor."""
+def _product(ctx: QContext, factors: list[HalfInt], plus: bool = False) -> float:
+    """Product of q-brackets; exactly 0.0 when a plain bracket has argument
+    0, decided before any bracket is evaluated ([x]+ never vanishes)."""
+    if not plus and any(a.twice == 0 for a in factors):
+        return 0.0
     bracket = q_bracket_plus if plus else q_bracket
     value = 1.0
     for a in factors:
-        f = bracket(a, ctx)
-        if abs(f) < _ZERO_EPS:
-            return 0.0, True
-        value *= f
-    return value, False
+        value *= bracket(a, ctx)
+    return value
 
 
 def _ratio(ctx: QContext, num: list[HalfInt], den: list[HalfInt],
            name: str, j: int, xi: GTPattern, plus: bool = False) -> float:
     """Quotient of two bracket products for coefficient `name` (entry j, 0
     for none) at tableau xi; the message is only formatted when raising."""
-    num_val, num_zero = _product(ctx, num, plus)
-    if num_zero:
+    num_val = _product(ctx, num, plus)
+    if num_val == 0.0:
         return 0.0
-    den_val, den_zero = _product(ctx, den, plus)
-    if den_zero:
+    den_val = _product(ctx, den, plus)
+    if den_val == 0.0:
         where = f"{name}^{j}" if j else name
         raise SingularCoefficientError(
             f"vanishing denominator bracket in {where} at {xi}: factors {den}")
@@ -111,12 +110,6 @@ def _hat_squared(xi: GTPattern, j: int, level: int, which: str,
     return _ratio(ctx, num, den, which, j, xi)
 
 
-def _csqrt(x: float) -> complex:
-    if x >= 0.0:
-        return complex(math.sqrt(x), 0.0)
-    return complex(0.0, math.sqrt(-x))
-
-
 def _coefficient(xi: GTPattern, j: int, level: int, which: str,
                  ctx: QContext, plus: bool) -> complex | float:
     """Matrix-element coefficient of either family at a tableau.
@@ -124,10 +117,11 @@ def _coefficient(xi: GTPattern, j: int, level: int, which: str,
     `plus` selects the nonclassical family: its bracket [x]+ replaces [x] in
     the linear denominator of B and throughout C, the prefactor of A takes
     differences q^l - q^-l where the classical one takes sums, and the
-    result must come out real.  which="A": raising coefficient for entry j
-    of even row `level`; "B": the same for odd rows; "C": the diagonal
-    element of the odd-row generator; "D" (nonclassical only): the diagonal
-    element on the half line of an even row (j ignored for C and D).
+    radicand must not be negative, so the result is real.  which="A":
+    raising coefficient for entry j of even row `level`; "B": the same for
+    odd rows; "C": the diagonal element of the odd-row generator; "D"
+    (nonclassical only): the diagonal element on the half line of an even
+    row (j ignored for C and D).
     """
     name = f"{which}~" if plus else which
     if which in ("A", "B"):
@@ -141,20 +135,19 @@ def _coefficient(xi: GTPattern, j: int, level: int, which: str,
             s = -1.0 if plus else 1.0
             pref = (q_power(lj, ctx) + s * q_power(-lj, ctx)) * (
                 q_power(lj + 1, ctx) + s * q_power(-lj - 1, ctx))
-            value = _csqrt(hat2 / pref)
+            radicand = hat2 / pref
         else:
-            den_sq, den_zero = _product(ctx, [2 * lj + 1, 2 * lj - 1])
-            den_lin, lin_zero = _product(ctx, [lj], plus)
-            if den_zero or lin_zero:
+            den_sq = _product(ctx, [2 * lj + 1, 2 * lj - 1])
+            den_lin = _product(ctx, [lj], plus)
+            if den_sq == 0.0 or den_lin == 0.0:
                 raise SingularCoefficientError(
                     f"vanishing bracket [{lj}] or [2l+-1] in {name}^{j} at {xi}")
-            value = _csqrt(hat2 / den_sq) / den_lin
-        if not plus:
-            return value
-        if abs(value.imag) > _ZERO_EPS * (1.0 + abs(value)):
+            radicand = hat2 / den_sq
+        if plus and radicand < 0.0:
             raise SingularCoefficientError(
                 f"nonclassical {name}^{j} came out complex at {xi}")
-        return value.real
+        root = math.sqrt(radicand) if plus else cmath.sqrt(radicand)
+        return root if which == "A" else root / den_lin
     if which == "C" or (which == "D" and plus):
         la = l_coords(xi.row(level + 1), level + 1)
         lm = l_coords(xi.row(level), level) if level >= 2 else ()
@@ -207,7 +200,6 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
     classical = label.kind == CLASSICAL
     coeff = coeff_classical if classical else coeff_nonclassical
     which = "A" if k % 2 == 0 else "B"
-    guard = ctx.tolerance(1.0)
     p = (k + 1) // 2
     truncate = not classical and k % 2 == 0 and xi.m(k, p) == HALF
     steps: list[tuple[int, int, complex]] = []
@@ -220,7 +212,7 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
             c = coeff(xi if step > 0 else nb, j, k, which, ctx)
             if nb.is_valid(label.kind):
                 steps.append((j, step, c if step > 0 else -c))
-            elif abs(c) > guard:
+            elif c != 0:
                 raise SingularCoefficientError(
                     f"out-of-lattice step {xi}->{nb} has coefficient {c}")
     diag = None

@@ -215,14 +215,17 @@ def _pair_admissible(tgt: AmbientBlock, src: AmbientBlock) -> bool:
                                           src.label.kind)
 
 
-def reduced_matrix_elements(vop: VectorOperator, ctx: QContext,
-                            ratio_tol: float = 1e-8) -> ReducedElements:
+# relative spread allowed between the ratios of one block pair
+_RATIO_TOL = 1e-8
+
+
+def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElements:
     """Extract the reduced matrix element of every admissible ordered block
     pair and certify the factorisation.
 
     Raises FactorizationError when the ratio of a raw matrix element to its
     primed inverse coefficient deviates from the fitted constant by more
-    than `ratio_tol` (relative).
+    than `_RATIO_TOL` (relative).
     """
     entries: dict = {}
     forbidden: dict = {}
@@ -251,7 +254,7 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext,
                     f"all inverse coefficients vanish on pair {key}")
             value = complex(np.vdot(denoms, raws) / total)
             dmax = float(np.abs(denoms).max())
-            live = np.abs(denoms) > ratio_tol * dmax
+            live = np.abs(denoms) > _RATIO_TOL * dmax
             ratios = raws[live] / denoms[live]
             ref = max(abs(value), float(np.abs(ratios).max()), 1e-300)
             residual = float(np.abs(ratios - value).max()) / ref
@@ -262,7 +265,7 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext,
                 raise FactorizationError(
                     f"matrix element {silent_raw:.3e} outside the inverse-"
                     f"coefficient support on pair {key}")
-            if residual > ratio_tol and abs(value) * dmax > ctx.tolerance(raw_scale):
+            if residual > _RATIO_TOL and abs(value) * dmax > ctx.tolerance(raw_scale):
                 raise FactorizationError(
                     f"non-constant ratio on pair {key}: spread {residual:.3e}")
             first = complex(ratios[0]) if ratios.size else 0j

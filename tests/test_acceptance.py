@@ -155,7 +155,7 @@ def test_criterion_4_decomposition():
 
 
 def _general_table_for(label, m_tgt, ctx):
-    blocks = assemble_decomposition(label, ctx, verify_second_aux=False)
+    blocks = assemble_decomposition(label, ctx)
     return blocks[m_tgt].table
 
 

@@ -20,6 +20,10 @@ def test_dim_examples(capsys):
     code, out, _ = run(capsys, "dim", "--algebra", "3", "--kind",
                        "nonclassical", "--weight", "3/2", "--eps", "++")
     assert code == 0 and json.loads(out)["dim"] == 2
+    # a sign string starting with - is a value, not an option
+    code, out, _ = run(capsys, "dim", "--algebra", "3", "--kind",
+                       "nonclassical", "--weight", "3/2", "--eps", "-+")
+    assert code == 0 and json.loads(out)["label"]["eps"] == [-1, 1]
 
 
 def test_dim_validation_error(capsys):
@@ -120,6 +124,19 @@ def test_reduced_kind_or_eps_is_usage_error(capsys):
         assert captured.out == ""
         assert "unrecognized arguments: " + " ".join(extra) in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_reduced_nonclassical_ambient_signs(capsys):
+    argv = ["reduced", "--algebra", "4", "--ambient-kind", "nonclassical",
+            "--ambient-weight", "3/2,1/2", "--q", "1.3"]
+    code, out, err = run(capsys, *argv, "--ambient-eps", "-+++")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["ambient"]["eps"] == [-1, 1, 1, 1]
+    assert data["results"][0]["pairs"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: nonclassical labels need --ambient-eps\n"
 
 
 def test_reduced_malformed_weight(capsys):

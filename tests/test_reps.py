@@ -79,6 +79,32 @@ def test_unknown_coefficient_kind_rejected():
         coeff_classical(xi, 0, 2, "D", CTX)
 
 
+def test_negative_radicand_rejected_for_nonclassical(monkeypatch):
+    import qso_reps.reps as reps
+
+    xi = enumerate_patterns(lab(5, (4, 2))).patterns[0]
+    eta = enumerate_patterns(lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))).patterns[0]
+    for hat2 in (-1.0, -1e-30):
+        monkeypatch.setattr(reps, "_hat_squared", lambda *args, v=hat2: v)
+        for which, level in (("A", 2), ("B", 3)):
+            with pytest.raises(SingularCoefficientError, match="came out complex"):
+                coeff_nonclassical(eta, 1, level, which, CTX)
+            # the classical family takes the imaginary root instead
+            value = coeff_classical(xi, 1, level, which, CTX)
+            assert value.real == 0.0 and value.imag != 0.0
+
+
+def test_small_brackets_survive_large_q():
+    # [1/2] is about 3e-14 at q = 1e27: small, but its argument is not 0
+    ctx = QContext(1e27)
+    mats = build_all_generators(lab(3, (1,)), ctx)
+    peaks = [np.abs(g.mat).max() for g in mats]
+    assert peaks[0] > 0.0 and peaks[0] == peaks[1]
+    report = check_relations(mats, ctx)
+    assert report.all_passed
+    assert all(e.residual <= 1e-12 * e.scale for e in report.entries)
+
+
 @st.composite
 def dominant_labels(draw, max_dim=60):
     """Random dominant label of either family, every eps, dimension capped."""
@@ -311,16 +337,19 @@ def test_out_of_lattice_guard_survives_memo(monkeypatch):
     import qso_reps.reps as reps
 
     real = reps.coeff_classical
+    # a leak far below any tolerance must still be caught: off the lattice
+    # the coefficients are exactly 0; each tol_abs is a context not used
+    # elsewhere, so the memo misses
+    for leak, tol_abs in ((1.0, 3e-9), (1e-12, 4e-9)):
+        def leaky(xi, j, level, which, ctx, leak=leak):
+            if xi.is_valid(CLASSICAL) and xi.replace(level, j, +1).is_valid(CLASSICAL):
+                return real(xi, j, level, which, ctx)
+            return leak
 
-    def leaky(xi, j, level, which, ctx):
-        if xi.is_valid(CLASSICAL) and xi.replace(level, j, +1).is_valid(CLASSICAL):
-            return real(xi, j, level, which, ctx)
-        return 1.0
-
-    monkeypatch.setattr(reps, "coeff_classical", leaky)
-    ctx = QContext(1.3, tol_abs=3e-9)  # not used elsewhere: the memo misses
-    with pytest.raises(SingularCoefficientError, match=r"out-of-lattice step \|"):
-        build_generator(lab(5, (4, 2)), 2, ctx)
+        monkeypatch.setattr(reps, "coeff_classical", leaky)
+        ctx = QContext(1.3, tol_abs=tol_abs)
+        with pytest.raises(SingularCoefficientError, match=r"out-of-lattice step \|"):
+            build_generator(lab(5, (4, 2)), 2, ctx)
 
 
 def test_coefficients_evaluated_once_per_row_triple(monkeypatch):
