@@ -15,7 +15,7 @@ from .gtbasis import (CLASSICAL, NONCLASSICAL, BasisIndex, BranchTarget,
 from .reps import (GeneratorMatrix, RelationReport, build_all_generators,
                    build_generator, check_relations, coeff_classical,
                    coeff_nonclassical, composite_generator)
-from .tensorprod import (TensorBasis, embedding_check, sl_generators,
+from .tensorprod import (embedding_check, sl_generators, tensor_action,
                          tensor_rep, vector_rep)
 from .cgc import (CGCTable, Intertwiner, assemble_decomposition, recurse_cgc,
                   so2_coupled_vectors, so3_cgc, top_cgc)
@@ -32,7 +32,7 @@ __all__ = [
     "GeneratorMatrix", "RelationReport", "build_all_generators",
     "build_generator", "check_relations", "coeff_classical",
     "coeff_nonclassical", "composite_generator",
-    "TensorBasis", "embedding_check", "sl_generators", "tensor_rep",
+    "embedding_check", "sl_generators", "tensor_action", "tensor_rep",
     "vector_rep",
     "CGCTable", "Intertwiner", "assemble_decomposition", "recurse_cgc",
     "so2_coupled_vectors", "so3_cgc", "top_cgc",

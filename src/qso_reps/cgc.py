@@ -15,6 +15,10 @@ row as blocks (Gel'fand-Tsetlin restriction); the (source, target) block of
 every composite generator thus follows from one top-generator block by the
 q-commutator recursion.  The (target, source) blocks with the other sign
 give the primed inverse coefficients used by `wigner`.
+
+Each block's intertwiner is checked against the product-space generators
+applied slot by slot (`tensorprod.tensor_action`); no product-space matrix
+is formed.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ import numpy as np
 
 from .qarith import (HalfInt, QContext, ValidationError, q_bracket,
                      q_bracket_plus, q_power)
-from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, BasisIndex, GTPattern,
+from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, GTPattern,
                       IrrepLabel, branch_rows, branching_set, covers,
                       enumerate_patterns, extend_pattern, first_completion,
                       l_coords, rows_above, rows_below)
-from .reps import (GeneratorMatrix, build_all_generators, composite_chain,
-                   generator_block)
-from .tensorprod import tensor_rep
+from .reps import (GeneratorMatrix, RelationReport, build_all_generators,
+                   composite_chain, generator_block, max_entry,
+                   relation_residual)
+from .tensorprod import tensor_action
 
 
 class AuxSearchError(RuntimeError):
@@ -311,16 +316,13 @@ class CGCTable:
 @dataclass(frozen=True)
 class Intertwiner:
     """Columns are coupled vectors of one target block, expanded over the
-    product basis (vector slot outermost)."""
+    product basis (vector slot outermost).  Entry k-1 of `residuals` is the
+    intertwining residual of generator k; every entry passed."""
 
     target: IrrepLabel
     matrix: np.ndarray
-    residuals: tuple[tuple[int, float, float], ...]  # (generator, residual, scale)
+    residuals: RelationReport
     table: CGCTable
-
-    @property
-    def max_residual(self) -> float:
-        return max((r for _, r, _ in self.residuals), default=0.0)
 
 
 def _k_order(n: int) -> list["int | str"]:
@@ -379,10 +381,10 @@ def _normalise(entries) -> list:
             for t, terms in entries]
 
 
-def _build_matrix(label: IrrepLabel, entries, src_basis: BasisIndex,
-                  tgt_basis: BasisIndex, ctx: QContext) -> np.ndarray:
+def _build_matrix(label: IrrepLabel, entries, ctx: QContext) -> np.ndarray:
+    src_basis = enumerate_patterns(label)
     n, d = label.n, src_basis.dim
-    mat = np.zeros((n * d, tgt_basis.dim), dtype=complex)
+    mat = np.zeros((n * d, len(entries)), dtype=complex)
     eps2 = label.eps[0] if label.kind == NONCLASSICAL else 0
     for col, (tgt, terms) in enumerate(entries):
         for k, src, value in terms:
@@ -403,10 +405,12 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
 
     Every block is normalised so its first nonzero coefficient is 1, checked
     against the block's own generator matrices (hard failure on residuals),
-    and recomputed under a second auxiliary weight when one exists.
+    and recomputed under a second auxiliary weight when one exists.  The
+    generators of the product space act slot by slot (`tensor_action`);
+    none of them is formed as a matrix.
     """
     n = label.n
-    big = tensor_rep(list(_cached_generators(label, ctx)), ctx)
+    gens = _cached_generators(label, ctx)
     out: dict[Row, Intertwiner] = {}
     for branch in branching_set(label.m_top, n, label.kind):
         m_tgt = branch.row
@@ -429,23 +433,23 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
                         f"{slot} at ({i}, {j}) of block {m_tgt}: "
                         f"{values[i, j]} vs {check[i, j]}")
         entries = _normalise(entries)
-        matrix = _build_matrix(label, entries, enumerate_patterns(label),
-                               enumerate_patterns(target_label), ctx)
+        matrix = _build_matrix(label, entries, ctx)
         block_mats = _cached_generators(target_label, ctx)
         residuals = []
         for k in range(1, n):
-            lhs = big[k - 1].mat @ matrix
+            lhs = tensor_action(gens[k - 1].mat, k, matrix, ctx)
             rhs = matrix @ block_mats[k - 1].mat
-            scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
-            residual = float(np.linalg.norm(lhs - rhs))
-            if residual > ctx.tolerance(scale):
+            entry = relation_residual(f"intertwine({k})", lhs - rhs,
+                                      max(max_entry(lhs, rhs), 1.0), ctx)
+            if not entry.passed:
                 raise DecompositionError(
-                    f"intertwiner residual {residual:.3e} for block {m_tgt}, "
-                    f"generator {k} (scale {scale:.3e})")
-            residuals.append((k, residual, scale))
+                    f"intertwiner residual {entry.residual:.3e} for block "
+                    f"{m_tgt}, generator {k} (scale {entry.scale:.3e})")
+            residuals.append(entry)
         table = CGCTable(label, target_label, aux, branch.tag == "replaced",
                          tuple(entries))
-        out[m_tgt] = Intertwiner(target_label, matrix, tuple(residuals), table)
+        out[m_tgt] = Intertwiner(target_label, matrix,
+                                 RelationReport(tuple(residuals)), table)
     return out
 
 

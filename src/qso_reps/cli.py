@@ -85,10 +85,7 @@ def _parse_eps(text: str) -> tuple[int, ...]:
 
 
 def _parse_qs(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",")]
-    if not values:
-        raise ValidationError("need at least one q value")
-    return values
+    return [float(part) for part in text.split(",")]
 
 
 def _label_from(args, *, kind_attr="kind", weight_attr="weight",
@@ -152,14 +149,15 @@ def cmd_decompose(args) -> int:
                 "target": [e.twice for e in m_tgt],
                 "dim": it.matrix.shape[1],
                 "replaced": it.table.replaced,
-                "residuals": [{"generator": k, "residual": r, "scale": s}
-                              for k, r, s in it.residuals],
+                "residuals": [{"generator": k, "residual": e.residual,
+                               "scale": e.scale}
+                              for k, e in enumerate(it.residuals.entries, 1)],
                 "cgc": it.table.to_jsonable(),
             })
             rows.append({"q": q, "target": "(" + ",".join(str(e) for e in m_tgt) + ")",
                          "dim": it.matrix.shape[1],
                          "replaced": it.table.replaced,
-                         "max_residual": it.max_residual})
+                         "max_residual": it.residuals.max_residual})
         rank = decomposition_rank(blocks, ctx)
         results.append({
             "q": q,
@@ -257,13 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_sign_strings(argv: list[str]) -> list[str]:
-    """Rewrite `--eps X` as `--eps=X` (likewise `--ambient-eps`) when X is a
-    sign string starting with `-`, which argparse would read as an option."""
+# options whose value may start with "-", and the characters of such values
+_DASH_VALUES = {"--eps": "+-", "--ambient-eps": "+-",
+                "--weight": "-0123456789/,", "--ambient-weight": "-0123456789/,"}
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite `--eps X` as `--eps=X` (likewise `--ambient-eps`, `--weight`
+    and `--ambient-weight`) when X starts with `-` and is made of the
+    option's value characters, so argparse does not read X as an option.
+    X = `--` is left alone: argparse drops it even as `--eps=--`."""
     out: list[str] = []
     for arg in argv:
-        if (out and out[-1] in ("--eps", "--ambient-eps")
-                and arg.startswith("-") and set(arg) <= {"+", "-"}):
+        chars = _DASH_VALUES.get(out[-1]) if out else None
+        if (chars and arg.startswith("-") and arg != "--"
+                and set(arg) <= set(chars)):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -273,7 +279,7 @@ def _attach_sign_strings(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(
-        _attach_sign_strings(sys.argv[1:] if argv is None else argv))
+        _attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValidationError, ValueError) as exc:

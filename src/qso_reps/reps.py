@@ -325,11 +325,17 @@ class RelationReport:
         return [e for e in self.entries if not e.passed]
 
 
-def _frob(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def relation_residual(relation: str, diff: np.ndarray, scale: float,
+                      ctx: QContext) -> RelationResidual:
+    """Report entry for one relation: the Frobenius norm of `diff`, its two
+    sides' difference, passed when at most `ctx.tolerance(scale)`."""
+    residual = float(np.linalg.norm(diff))
+    return RelationResidual(relation, residual, scale,
+                            residual <= ctx.tolerance(scale))
 
 
-def _max_entry(*mats: np.ndarray) -> float:
+def max_entry(*mats: np.ndarray) -> float:
+    """Largest absolute entry of `mats`, 0.0 for empty ones."""
     return max((float(np.abs(m).max()) if m.size else 0.0) for m in mats)
 
 
@@ -345,23 +351,16 @@ def check_relations(mats: list[GeneratorMatrix], ctx: QContext) -> RelationRepor
         x, y = ms[a], ms[a - 1]
         xx, yy = x @ x, y @ y
         t1, t2, t3 = xx @ y, y @ xx, x @ (y @ x)
-        r1 = t1 + t2 - two * t3 + y
-        entries.append(RelationResidual(
-            f"serre({a + 1},{a})", _frob(r1), _max_entry(t1, t2, t3, y),
-            False))
+        entries.append(relation_residual(
+            f"serre({a + 1},{a})", t1 + t2 - two * t3 + y,
+            max_entry(t1, t2, t3, y), ctx))
         u1, u2, u3 = yy @ x, x @ yy, y @ (x @ y)
-        r2 = u1 + u2 - two * u3 + x
-        entries.append(RelationResidual(
-            f"serre({a},{a + 1})", _frob(r2), _max_entry(u1, u2, u3, x),
-            False))
+        entries.append(relation_residual(
+            f"serre({a},{a + 1})", u1 + u2 - two * u3 + x,
+            max_entry(u1, u2, u3, x), ctx))
     for a in range(len(ms)):
         for b in range(a + 2, len(ms)):
             ab, ba = ms[a] @ ms[b], ms[b] @ ms[a]
-            entries.append(RelationResidual(
-                f"far({a + 1},{b + 1})", _frob(ab - ba), _max_entry(ab, ba),
-                False))
-    final = tuple(
-        RelationResidual(e.relation, e.residual, e.scale,
-                         e.residual <= ctx.tolerance(e.scale))
-        for e in entries)
-    return RelationReport(final)
+            entries.append(relation_residual(
+                f"far({a + 1},{b + 1})", ab - ba, max_entry(ab, ba), ctx))
+    return RelationReport(tuple(entries))

@@ -1,10 +1,13 @@
 """Vector representation, tensor products with it, and the quantum sl_n
 embedding cross-check.
 
-The tensor action scales the two vector-factor slots touched by a generator
-by q and 1/q, adds a single +-q^(1/2) transfer between them, and leaves the
-other slots alone; assembling it is pure block bookkeeping on top of the
-inner representation matrices.
+Generator k acts on the product space slot by slot.  With the vector slot
+outermost, each of the n slots is a copy of the inner space; the generator
+applies the inner generator t to every slot, scales slot k by q and slot
+k+1 by 1/q, and moves -q^(1/2) times slot k into slot k+1 and q^(-1/2)
+times slot k+1 into slot k.  `tensor_action` applies this to a matrix
+without forming the (n*d)^2 product-space generator; `tensor_rep` builds
+that dense matrix, as the same action on the identity.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qarith import HalfInt, QContext, ValidationError
-from .gtbasis import CLASSICAL, BasisIndex, GTPattern, IrrepLabel
+from .gtbasis import CLASSICAL, IrrepLabel
 from .reps import GeneratorMatrix, RelationReport, check_relations
 
 
@@ -40,46 +43,33 @@ def vector_rep(n: int, ctx: QContext) -> list[GeneratorMatrix]:
     return out
 
 
-@dataclass(frozen=True)
-class TensorBasis:
-    """Ordering of the product basis: vector slot k (1..n) outermost, inner
-    tableau innermost, so position(k, xi) = (k-1)*dim + index(xi)."""
-
-    n: int
-    inner: BasisIndex
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.inner.dim
-
-    def position(self, k: int, pattern: GTPattern) -> int:
-        return (k - 1) * self.inner.dim + self.inner.position(pattern)
+def tensor_action(t: np.ndarray, k: int, mat: np.ndarray,
+                  ctx: QContext) -> np.ndarray:
+    """Generator k of the tensor product with the vector representation,
+    applied to `mat`, whose rows are the product basis (vector slot
+    outermost); `t` is generator k of the inner representation."""
+    d = t.shape[0]
+    slots = mat.reshape(-1, d, mat.shape[1])
+    out = t @ slots
+    out[k - 1] *= ctx.q
+    out[k] /= ctx.q
+    sq = ctx.q ** 0.5
+    out[k] += -sq * slots[k - 1]
+    out[k - 1] += slots[k] / sq
+    return out.reshape(mat.shape)
 
 
 def tensor_rep(t_mats: list[GeneratorMatrix], ctx: QContext) -> list[GeneratorMatrix]:
-    """Tensor of the vector representation with the representation given by
-    `t_mats` (generators 1..n-1 of rank n = len+1)."""
+    """Dense generators of the tensor of the vector representation with the
+    representation given by `t_mats` (generators 1..n-1 of rank n = len+1):
+    `tensor_action` on the identity of the product space."""
     n = len(t_mats) + 1
-    d = t_mats[0].dim
+    eye = np.eye(n * t_mats[0].dim, dtype=complex)
     label = t_mats[0].label
-    eye = np.eye(d, dtype=complex)
-    out = []
-    for k in range(1, n):
-        t = t_mats[k - 1].mat
-        blocks = np.zeros((n * d, n * d), dtype=complex)
-        for r in range(1, n + 1):
-            sl = slice((r - 1) * d, r * d)
-            if r == k:
-                blocks[sl, sl] = ctx.q * t
-            elif r == k + 1:
-                blocks[sl, sl] = t / ctx.q
-            else:
-                blocks[sl, sl] = t
-        sq = ctx.q ** 0.5
-        blocks[k * d:(k + 1) * d, (k - 1) * d:k * d] += -sq * eye
-        blocks[(k - 1) * d:k * d, k * d:(k + 1) * d] += eye / sq
-        out.append(GeneratorMatrix(label, f"Ix({k + 1},{k})", blocks))
-    return out
+    # BLAS may return an exact zero as -0.0; adding 0.0 makes it +0.0
+    return [GeneratorMatrix(label, f"Ix({k + 1},{k})",
+                            tensor_action(t_mats[k - 1].mat, k, eye, ctx) + 0.0)
+            for k in range(1, n)]
 
 
 @dataclass(frozen=True)

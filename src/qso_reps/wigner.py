@@ -24,7 +24,8 @@ import numpy as np
 from .qarith import QContext, ValidationError
 from .gtbasis import (NONCLASSICAL, BasisIndex, GTPattern, IrrepLabel,
                       branch_rows, enumerate_patterns)
-from .reps import RelationReport, RelationResidual, composite_chain
+from .reps import (RelationReport, RelationResidual, composite_chain,
+                   max_entry, relation_residual)
 from .cgc import (Row, _cached_generators, admissible_aux, aux_blocks)
 
 
@@ -75,26 +76,21 @@ def check_vector_operator(vop: VectorOperator, ctx: QContext) -> RelationReport:
 
     for j in range(2, vop.n + 1):
         t = vop.gens[j - 2]
-        lhs = qcomm(vop.components[j - 2], t)
-        scale = max(float(np.abs(lhs).max()), float(np.abs(vop.components[j - 1]).max()), 1.0)
-        res = float(np.linalg.norm(lhs - vop.components[j - 1]))
-        entries.append(RelationResidual(f"raise({j})", res, scale,
-                                        res <= ctx.tolerance(scale)))
-        lhs = qcomm(t, vop.components[j - 1])
-        scale = max(float(np.abs(lhs).max()), float(np.abs(vop.components[j - 2]).max()), 1.0)
-        res = float(np.linalg.norm(lhs - vop.components[j - 2]))
-        entries.append(RelationResidual(f"lower({j})", res, scale,
-                                        res <= ctx.tolerance(scale)))
+        low, high = vop.components[j - 2], vop.components[j - 1]
+        lhs = qcomm(low, t)
+        entries.append(relation_residual(
+            f"raise({j})", lhs - high, max(max_entry(lhs, high), 1.0), ctx))
+        lhs = qcomm(t, high)
+        entries.append(relation_residual(
+            f"lower({j})", lhs - low, max(max_entry(lhs, low), 1.0), ctx))
     for j in range(2, vop.n + 1):
         t = vop.gens[j - 2]
         for k in range(1, vop.n + 1):
             if k in (j - 1, j):
                 continue
             ab, ba = t @ vop.components[k - 1], vop.components[k - 1] @ t
-            scale = max(float(np.abs(ab).max()), float(np.abs(ba).max()), 1.0)
-            res = float(np.linalg.norm(ab - ba))
-            entries.append(RelationResidual(f"far({j},{k})", res, scale,
-                                            res <= ctx.tolerance(scale)))
+            entries.append(relation_residual(
+                f"far({j},{k})", ab - ba, max(max_entry(ab, ba), 1.0), ctx))
     return RelationReport(tuple(entries))
 
 

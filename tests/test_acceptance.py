@@ -141,10 +141,10 @@ def test_criterion_4_decomposition():
                 violations.append((repr(label), q, str(exc)))
                 continue
             for m_tgt, it in blocks.items():
-                for k, residual, scale in it.residuals:
-                    worst = max(worst, residual / max(scale, 1e-300))
-                    if residual > 1e-8 * scale:
-                        violations.append((repr(label), q, m_tgt, k, residual))
+                for k, e in enumerate(it.residuals.entries, 1):
+                    worst = max(worst, e.residual / max(e.scale, 1e-300))
+                    if e.residual > 1e-8 * e.scale:
+                        violations.append((repr(label), q, m_tgt, k, e.residual))
             n_dim = label.n * dimension(label)
             if sum(it.matrix.shape[1] for it in blocks.values()) != n_dim:
                 violations.append((repr(label), q, "sum rule"))

@@ -5,14 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import qso_reps.cgc
 import qso_reps.reps
+import qso_reps.tensorprod
 from qso_reps import (CLASSICAL, NONCLASSICAL, GTPattern, HalfInt, IrrepLabel,
-                      QContext, ValidationError, assemble_decomposition,
-                      branching_set, build_all_generators,
-                      canonical_vector_operator, composite_generator,
-                      dimension, enumerate_patterns, q_bracket, recurse_cgc,
-                      reduced_matrix_elements, so2_coupled_vectors, so3_cgc,
-                      tensor_rep, top_cgc)
+                      QContext, RelationReport, ValidationError,
+                      assemble_decomposition, branching_set,
+                      build_all_generators, canonical_vector_operator,
+                      composite_generator, dimension, enumerate_patterns,
+                      q_bracket, recurse_cgc, reduced_matrix_elements,
+                      so2_coupled_vectors, so3_cgc, tensor_rep, top_cgc)
 from qso_reps.cgc import (AuxSearchError, admissible_aux, aux_blocks,
                           aux_candidates, cgc_is_zero, decomposition_rank)
 from qso_reps.gtbasis import covers, first_completion, rows_below
@@ -267,6 +269,28 @@ def test_no_auxiliary_irrep_is_built(monkeypatch):
         assert built and {b.n for b in built} == {ambient.n - 1}
 
 
+def test_decompose_forms_no_product_space_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense product-space generators requested")
+
+    monkeypatch.setattr(qso_reps.tensorprod, "tensor_rep", refuse)
+    monkeypatch.setattr(qso_reps.cgc, "tensor_rep", refuse, raising=False)
+    for label in (lab(5, (4, 2)), lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
+        blocks = assemble_decomposition(label, CTX)
+        assert sum(it.matrix.shape[1] for it in blocks.values()) == (
+            label.n * dimension(label))
+
+
+def test_intertwiner_residuals_are_a_report():
+    for label in (lab(5, (4, 2)), lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
+        for it in assemble_decomposition(label, QContext(0.7)).values():
+            report = it.residuals
+            assert isinstance(report, RelationReport)
+            assert len(report.entries) == label.n - 1
+            assert report.all_passed and not report.failures()
+            assert report.max_residual <= 1e-10
+
+
 @pytest.mark.parametrize("label,expected_dims", [
     (lab(4, (2, 0)), {(H(4), H(0)): 9, (H(0), H(0)): 1,
                       (H(2), H(2)): 3, (H(2), H(-2)): 3}),
@@ -312,7 +336,7 @@ def test_assemble_normalisation_and_homogeneity():
 def test_assemble_residuals_small():
     label = lab(5, (2, 2))
     blocks = assemble_decomposition(label, QContext(0.7))
-    assert max(it.max_residual for it in blocks.values()) <= 1e-10
+    assert max(it.residuals.max_residual for it in blocks.values()) <= 1e-10
 
 
 def test_cgc_table_json():

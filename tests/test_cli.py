@@ -26,6 +26,20 @@ def test_dim_examples(capsys):
     assert code == 0 and json.loads(out)["label"]["eps"] == [-1, 1]
 
 
+def test_weight_starting_with_minus_is_a_value(capsys):
+    code, out, _ = run(capsys, "dim", "--algebra", "2", "--weight", "-1/2")
+    assert code == 0 and json.loads(out)["dim"] == 1
+    code, out, _ = run(capsys, "decompose", "--algebra", "2", "--weight",
+                       "-3/2")
+    assert code == 0
+    assert json.loads(out)["label"]["weight"] == [-3]
+    # "--" stays argparse's end of options, which it never keeps as a value
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--algebra", "2", "--weight", "--"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_dim_validation_error(capsys):
     code, _, err = run(capsys, "dim", "--algebra", "4", "--weight", "1,0,9")
     assert code == 2 and "error" in err

@@ -10,6 +10,7 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
                       ValidationError, build_generator, check_relations,
                       coeff_classical, coeff_nonclassical, composite_generator,
                       enumerate_patterns, q_bracket, q_bracket_plus, q_power)
+from qso_reps.reps import relation_residual
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -103,6 +104,22 @@ def test_small_brackets_survive_large_q():
     report = check_relations(mats, ctx)
     assert report.all_passed
     assert all(e.residual <= 1e-12 * e.scale for e in report.entries)
+
+
+def test_relation_residual_passes_within_tolerance():
+    ctx = QContext(1.3, tol_abs=1.0, tol_rel=2.0)
+    diff = np.array([[3.0, 4.0j]])
+    entry = relation_residual("r", diff, 2.0, ctx)  # tolerance 1 + 2 * 2
+    assert (entry.relation, entry.residual, entry.scale) == ("r", 5.0, 2.0)
+    assert entry.passed
+    assert not relation_residual("r", diff, 1.9, ctx).passed
+
+
+def test_relation_scale_has_no_floor():
+    # the defining relations take their scale from the terms alone
+    ctx = QContext(1e27)
+    report = check_relations(build_all_generators(lab(3, (1,)), ctx), ctx)
+    assert 0.0 < max(e.scale for e in report.entries) < 1e-12
 
 
 @st.composite

@@ -5,9 +5,9 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
                       IrrepLabel, QContext, build_all_generators,
                       check_relations, dimension, embedding_check,
                       enumerate_patterns, q_bracket, q_bracket_plus,
-                      sl_generators, tensor_rep, vector_rep)
+                      sl_generators, tensor_action, tensor_rep, vector_rep)
 from qso_reps.cgc import assemble_decomposition
-from qso_reps.tensorprod import TensorBasis, vector_label
+from qso_reps.tensorprod import vector_label
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -107,12 +107,32 @@ def test_tensor_dimension():
     assert mats[0].dim == 5 * dimension(label)
 
 
-def test_tensor_basis_positions():
-    label = lab(4, (2, 0))
-    basis = TensorBasis(4, enumerate_patterns(label))
-    assert basis.dim == 16
-    p = basis.inner.patterns[2]
-    assert basis.position(3, p) == 2 * 4 + 2
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", [CLASSICAL, NONCLASSICAL])
+def test_tensor_action_matches_dense_generators(n, kind):
+    p = n // 2
+    if kind == CLASSICAL:
+        label = lab(n, (4,) + (2,) * (p - 1))
+    else:
+        label = lab(n, (3,) + (1,) * (p - 1), NONCLASSICAL,
+                    tuple((-1) ** i for i in range(n - 1)))
+    gens = build_all_generators(label, CTX)
+    d = gens[0].dim
+    dense = tensor_rep(gens, CTX)
+    vec = vector_rep(n, CTX)
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n * d, 7)) + 1j * rng.standard_normal((n * d, 7))
+    for k in range(1, n):
+        # coproduct: diag(1, .., q, 1/q, .., 1) (x) t plus vector generator (x) 1
+        weights = np.ones(n)
+        weights[k - 1], weights[k] = CTX.q, 1.0 / CTX.q
+        ref = (np.kron(np.diag(weights), gens[k - 1].mat)
+               + np.kron(vec[k - 1].mat, np.eye(d)))
+        assert np.abs(dense[k - 1].mat - ref).max() <= 1e-13 * np.abs(ref).max()
+        want = dense[k - 1].mat @ m
+        got = tensor_action(gens[k - 1].mat, k, m, CTX)
+        assert got.shape == m.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_tensor_spectrum_is_union_of_branch_spectra():

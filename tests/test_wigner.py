@@ -30,6 +30,9 @@ def test_canonical_operator_covariance(vop_so5_21):
     report = check_vector_operator(vop_so5_21, CTX)
     assert report.all_passed
     assert report.max_residual <= 1e-10
+    # the covariance scale has a floor of 1
+    small = check_vector_operator(vop_so5_21.scaled(1e-6), CTX)
+    assert small.all_passed and {e.scale for e in small.entries} == {1.0}
 
 
 def test_canonical_operator_last_component_is_top_generator(vop_so5_vec):
