@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # options whose value may start with "-", and the characters of such values
 _DASH_VALUES = {"--eps": "+-", "--ambient-eps": "+-",
-                "--weight": "-0123456789/,", "--ambient-weight": "-0123456789/,"}
+                "--weight": "-0123456789/,",
+                "--ambient-weight": "-0123456789/,"}
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
