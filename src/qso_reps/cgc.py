@@ -13,8 +13,10 @@ The auxiliary irrep is never built.  Its generators below level n keep the
 level-n row, so they are block-diagonal with the rank-n generators of that
 row as blocks (Gel'fand-Tsetlin restriction); the (source, target) block of
 every composite generator thus follows from one top-generator block by the
-q-commutator recursion.  The (target, source) blocks with the other sign
-give the primed inverse coefficients used by `wigner`.
+q-commutator recursion (`aux_blocks`).  The aux-weight search
+(`admissible_aux`) computes each candidate's blocks once and hands them
+on; only the rank-n generators are cached.  The (target, source) blocks
+with the other sign give the primed inverse coefficients used by `wigner`.
 
 Each block's intertwiner is checked against the product-space generators
 applied slot by slot (`tensorprod.tensor_action`); no product-space matrix
@@ -171,33 +173,24 @@ def _require_restriction(aux: IrrepLabel, label: IrrepLabel) -> None:
         raise AuxSearchError(f"auxiliary weight {aux} does not admit {label}")
 
 
-@lru_cache(maxsize=64)
-def _top_block(aux: IrrepLabel, rows: IrrepLabel, cols: IrrepLabel,
-               ctx: QContext) -> np.ndarray:
-    """Block of the auxiliary top generator from the tableaux under `cols`
-    to those under `rows`, evaluated from the coefficient formulas."""
+def aux_blocks(rows: IrrepLabel, cols: IrrepLabel, aux: IrrepLabel, sign: str,
+               ctx: QContext) -> dict[int, np.ndarray]:
+    """Blocks of the composite generators I^sign(n+1, l) of the auxiliary
+    irrep `aux`, rows under `rows` and columns under `cols`, for slots
+    l = n down to 1.  Slot n is the plain top-generator block, evaluated
+    from the coefficient formulas; the q-commutator pass with the cached
+    rank-n generators of `rows` and `cols` gives the rest.  The blocks are
+    not cached: `admissible_aux` hands those of the weights it accepts on."""
     for label in (rows, cols):
         _require_restriction(aux, label)
     index = {extend_pattern(aux.m_top, p): i
              for i, p in enumerate(enumerate_patterns(rows).patterns)}
     cols_ext = [extend_pattern(aux.m_top, p)
                 for p in enumerate_patterns(cols).patterns]
-    return generator_block(aux, aux.n - 1, index, cols_ext, ctx)
-
-
-@lru_cache(maxsize=16)
-def aux_blocks(rows: IrrepLabel, cols: IrrepLabel, aux: IrrepLabel, sign: str,
-               ctx: QContext, stop: int = 1) -> dict[int, np.ndarray]:
-    """Blocks of the composite generators I^sign(n+1, l) of the auxiliary
-    irrep `aux`, rows under `rows` and columns under `cols`, for slots
-    l = n down to `stop`; slot n is the plain top generator.
-
-    The returned arrays are shared with the cache and must not be modified.
-    """
-    return composite_chain(_top_block(aux, rows, cols, ctx),
+    return composite_chain(generator_block(aux, aux.n - 1, index, cols_ext, ctx),
                            [g.mat for g in _cached_generators(rows, ctx)],
                            [g.mat for g in _cached_generators(cols, ctx)],
-                           sign, ctx, stop)
+                           sign, ctx)
 
 
 def _block_mu(source: IrrepLabel, m_tgt: Row, top: np.ndarray, forward: bool,
@@ -228,23 +221,25 @@ def _block_mu(source: IrrepLabel, m_tgt: Row, top: np.ndarray, forward: bool,
 
 def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
                    want: int = 1, aux: IrrepLabel | None = None,
-                   ) -> list[tuple[IrrepLabel, complex]]:
+                   ) -> list[tuple[IrrepLabel, complex, dict[int, np.ndarray]]]:
     """Up to `want` usable auxiliary weights for the block pair source ->
-    m_tgt, each with its normalising ratio, in candidate order.
+    m_tgt, in candidate order, each with its normalising ratio and its
+    `aux_blocks`; callers take the blocks from here.
 
-    `forward` selects the orientation of the top block the ratio is read
-    from: (source, target) for coupling coefficients, (target, source) for
+    `forward` selects the orientation: (source, target) rows and columns
+    with sign "-" for coupling coefficients, (target, source) with "+" for
     primed inverse ones.  A given `aux` is checked and used alone.
     """
     target = source.with_weight(m_tgt)
-    rows, cols = (source, target) if forward else (target, source)
-    found: list[tuple[IrrepLabel, complex]] = []
+    rows, cols, sign = ((source, target, "-") if forward
+                        else (target, source, "+"))
+    found: list[tuple[IrrepLabel, complex, dict[int, np.ndarray]]] = []
     tried = [aux] if aux is not None else aux_candidates(source, m_tgt)
     for candidate in tried:
-        mu = _block_mu(source, m_tgt, _top_block(candidate, rows, cols, ctx),
-                       forward, ctx)
+        blocks = aux_blocks(rows, cols, candidate, sign, ctx)
+        mu = _block_mu(source, m_tgt, blocks[source.n], forward, ctx)
         if mu is not None:
-            found.append((candidate, mu))
+            found.append((candidate, mu, blocks))
             if len(found) >= want:
                 break
     if not found:
@@ -255,12 +250,11 @@ def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
     return found
 
 
-def _slot_tables(label: IrrepLabel, target: IrrepLabel, aux: IrrepLabel,
-                 mu: complex, ctx: QContext) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _slot_tables(blocks: dict[int, np.ndarray], mu: complex,
+                 ctx: QContext) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Raw block and coefficient table q^(k-n) * block / mu of every slot k
     below n (slot 2 is shared by the "+" and "-" vectors)."""
-    n = label.n
-    blocks = aux_blocks(label, target, aux, "-", ctx, stop=2)
+    n = len(blocks)
     return {k: (blocks[k], ctx.q ** (k - n) * blocks[k] / mu)
             for k in range(2, max(n, 3))}
 
@@ -279,25 +273,36 @@ def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
     if cgc_is_zero(k, src, tgt, kind):
         return 0j
     m_tgt = tgt.row(n)
-    (aux, mu), = admissible_aux(label, m_tgt, True, ctx, aux=aux)
+    (_, mu, blocks), = admissible_aux(label, m_tgt, True, ctx, aux=aux)
     if k == n:
         return top_cgc(label.m_top, m_tgt, src.row(n - 1), n, kind, ctx)
-    target = label.with_weight(m_tgt)
-    _, values = _slot_tables(label, target, aux, mu, ctx)[
-        2 if k in ("+", "-") else k]
+    _, values = _slot_tables(blocks, mu, ctx)[2 if k in ("+", "-") else k]
     return values[enumerate_patterns(label).position(src),
-                  enumerate_patterns(target).position(tgt)]
+                  enumerate_patterns(label.with_weight(m_tgt)).position(tgt)]
 
 
 @dataclass(frozen=True)
 class CGCTable:
-    """All coupling coefficients feeding one target block."""
+    """All coupling coefficients feeding one target block: `slots` maps each
+    vector slot ("+", "-", 3..n, in that order) to a source x target array
+    of them."""
 
     source: IrrepLabel
     target: IrrepLabel
     aux: IrrepLabel
     replaced: bool
-    entries: tuple[tuple[GTPattern, tuple[tuple[str, GTPattern, complex], ...]], ...]
+    slots: dict["int | str", np.ndarray]
+
+    @property
+    def entries(self) -> tuple[tuple[GTPattern, tuple[tuple[str, GTPattern, complex], ...]], ...]:
+        """Per target tableau, its nonzero terms (slot, source tableau,
+        coefficient) in slot order, each slot in source order."""
+        src = enumerate_patterns(self.source).patterns
+        return tuple(
+            (t, tuple((str(k), src[i], values[i, j])
+                      for k, values in self.slots.items()
+                      for i in np.flatnonzero(values[:, j])))
+            for j, t in enumerate(enumerate_patterns(self.target).patterns))
 
     def to_jsonable(self) -> dict:
         return {
@@ -325,29 +330,25 @@ class Intertwiner:
     table: CGCTable
 
 
-def _k_order(n: int) -> list["int | str"]:
-    return ["+", "-"] + list(range(3, n + 1))
-
-
 def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
-                         ctx: QContext) -> list:
-    """Unnormalised coefficient table of one target block: per target
-    tableau, its nonzero terms in slot order ("+", "-", 3..n), each slot in
-    source order.  At the nonzero block entries of slots below n the
-    selection rules split slot 2 into "+" and "-", and every entry they
-    force to vanish must be negligible against its block.  Slot n is the
-    closed form at the source sharing the rows below level n."""
+                         ctx: QContext) -> dict["int | str", np.ndarray]:
+    """Unnormalised source x target coefficient arrays of one target block,
+    one per slot "+", "-", 3..n.  At the nonzero block entries of slots
+    below n the selection rules split slot 2 into "+" and "-", and every
+    entry they force to vanish must be negligible against its block.  Slot
+    n is the closed form at the source sharing the rows below level n."""
     n, kind = label.n, label.kind
     src_basis = enumerate_patterns(label)
     src, tgt = src_basis.patterns, enumerate_patterns(target).patterns
-    terms = {k: [[] for _ in tgt] for k in _k_order(n)}
+    table = {k: np.zeros((len(src), len(tgt)), dtype=complex)
+             for k in ("+", "-", *range(3, n + 1))}
     for slot, (raw, values) in slots.items():
         names = ("+", "-") if slot == 2 else (slot,)
         bound = ctx.tolerance(float(np.abs(raw).max()))
         for j, i in zip(*np.nonzero(raw.T)):
             live = [k for k in names if not cgc_is_zero(k, src[i], tgt[j], kind)]
             if live:
-                terms[live[0]][j].append((i, values[i, j]))
+                table[live[0]][i, j] = values[i, j]
             elif abs(raw[i, j]) > bound:
                 raise DecompositionError(
                     f"slot {slot} element {abs(raw[i, j]):.3e} of "
@@ -357,45 +358,37 @@ def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
         for j, t in enumerate(tgt):
             i = src_basis.index.get(GTPattern((label.m_top,) + t.rows[1:]))
             if i is not None:
-                value = top_cgc(label.m_top, target.m_top, t.row(n - 1), n,
-                                kind, ctx)
-                if value != 0j:
-                    terms[n][j].append((i, value))
-    return [(t, tuple((str(k), src[i], v) for k in _k_order(n)
-                      for i, v in terms[k][j]))
-            for j, t in enumerate(tgt)]
+                table[n][i, j] = top_cgc(label.m_top, target.m_top,
+                                         t.row(n - 1), n, kind, ctx)
+    return table
 
 
-def _normalise(entries) -> list:
-    first = None
-    for _, terms in entries:
-        for _, _, v in terms:
-            if v != 0j:
-                first = v
-                break
-        if first is not None:
-            break
-    if first is None:
-        raise DecompositionError("empty coefficient table")
-    return [(t, tuple((k, s, v / first) for k, s, v in terms))
-            for t, terms in entries]
+def _normalise(table: dict) -> dict:
+    """Divide every array by the first nonzero coefficient in target, slot,
+    source order."""
+    for j in range(table["+"].shape[1]):
+        for values in table.values():
+            nonzero = np.flatnonzero(values[:, j])
+            if nonzero.size:
+                first = values[nonzero[0], j]
+                return {k: v / first for k, v in table.items()}
+    raise DecompositionError("empty coefficient table")
 
 
-def _build_matrix(label: IrrepLabel, entries, ctx: QContext) -> np.ndarray:
-    src_basis = enumerate_patterns(label)
-    n, d = label.n, src_basis.dim
-    mat = np.zeros((n * d, len(entries)), dtype=complex)
+def _build_matrix(label: IrrepLabel, table: dict, ctx: QContext) -> np.ndarray:
+    """Intertwiner over the product basis: slot-1 and slot-2 rows are
+    "+" * vp + "-" * vm per source row, slot-k rows are table k."""
+    src = enumerate_patterns(label).patterns
+    n, d = label.n, len(src)
     eps2 = label.eps[0] if label.kind == NONCLASSICAL else 0
-    for col, (tgt, terms) in enumerate(entries):
-        for k, src, value in terms:
-            i = src_basis.position(src)
-            if k in ("+", "-"):
-                vp, vm = so2_coupled_vectors(src.m12, label.kind, eps2, ctx)
-                vec = vp if k == "+" else vm
-                mat[i, col] += value * vec[0]
-                mat[d + i, col] += value * vec[1]
-            else:
-                mat[(int(k) - 1) * d + i, col] += value
+    vp, vm = np.array([so2_coupled_vectors(p.m12, label.kind, eps2, ctx)
+                       for p in src]).transpose(1, 0, 2)
+    mat = np.zeros((n * d, table["+"].shape[1]), dtype=complex)
+    for r in range(2):
+        mat[r * d:(r + 1) * d] += (table["+"] * vp[:, r, None]
+                                   + table["-"] * vm[:, r, None])
+    for k in range(3, n + 1):
+        mat[(k - 1) * d:k * d] += table[k]
     return mat
 
 
@@ -416,12 +409,12 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
         m_tgt = branch.row
         target_label = label.with_weight(m_tgt)
         scales = admissible_aux(label, m_tgt, True, ctx, want=2)
-        aux, mu = scales[0]
-        slots = _slot_tables(label, target_label, aux, mu, ctx)
-        entries = _compute_block_table(label, target_label, slots, ctx)
+        aux, mu, blocks = scales[0]
+        slots = _slot_tables(blocks, mu, ctx)
+        coeffs = _compute_block_table(label, target_label, slots, ctx)
         if len(scales) > 1:
-            aux2, mu2 = scales[1]
-            other = _slot_tables(label, target_label, aux2, mu2, ctx)
+            aux2, mu2, blocks2 = scales[1]
+            other = _slot_tables(blocks2, mu2, ctx)
             for slot, (_, values) in slots.items():
                 check = other[slot][1]
                 scale = np.maximum(np.maximum(np.abs(values), np.abs(check)), 1.0)
@@ -432,8 +425,8 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
                         f"auxiliary weights {aux} and {aux2} disagree on slot "
                         f"{slot} at ({i}, {j}) of block {m_tgt}: "
                         f"{values[i, j]} vs {check[i, j]}")
-        entries = _normalise(entries)
-        matrix = _build_matrix(label, entries, ctx)
+        coeffs = _normalise(coeffs)
+        matrix = _build_matrix(label, coeffs, ctx)
         block_mats = _cached_generators(target_label, ctx)
         residuals = []
         for k in range(1, n):
@@ -447,7 +440,7 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
                     f"{m_tgt}, generator {k} (scale {entry.scale:.3e})")
             residuals.append(entry)
         table = CGCTable(label, target_label, aux, branch.tag == "replaced",
-                         tuple(entries))
+                         coeffs)
         out[m_tgt] = Intertwiner(target_label, matrix,
                                  RelationReport(tuple(residuals)), table)
     return out

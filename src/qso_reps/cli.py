@@ -91,7 +91,10 @@ def _parse_qs(text: str) -> list[float]:
 def _label_from(args, *, kind_attr="kind", weight_attr="weight",
                 eps_attr="eps", n: int | None = None) -> IrrepLabel:
     kind = getattr(args, kind_attr)
-    weight = _parse_weight(getattr(args, weight_attr))
+    weight_text = getattr(args, weight_attr)
+    if not isinstance(weight_text, str):  # argparse turns `--weight=--` into []
+        raise ValidationError(f"--{weight_attr.replace('_', '-')} needs a value")
+    weight = _parse_weight(weight_text)
     eps_text = getattr(args, eps_attr, None)
     eps = _parse_eps(eps_text) if (eps_text and kind == NONCLASSICAL) else None
     if kind == NONCLASSICAL and eps is None:

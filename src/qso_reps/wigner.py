@@ -11,8 +11,10 @@ individual ratios.
 
 The primed inverse coefficients of a block pair are the (target, source)
 blocks of the "+" composite generators of an auxiliary next-rank irrep,
-divided by one normalising ratio; `cgc.aux_blocks` computes all n slots of
-that block in one q-commutator pass without building the auxiliary irrep.
+divided by one normalising ratio.  The aux-weight search
+`cgc.admissible_aux` hands on all n slots of that block, computed in one
+q-commutator pass without building the auxiliary irrep.  Only rank-n
+generators are cached; the ambient's are built once per q.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from .qarith import QContext, ValidationError
 from .gtbasis import (NONCLASSICAL, BasisIndex, GTPattern, IrrepLabel,
                       branch_rows, enumerate_patterns)
-from .reps import (RelationReport, RelationResidual, composite_chain,
-                   max_entry, relation_residual)
-from .cgc import (Row, _cached_generators, admissible_aux, aux_blocks)
+from .reps import (RelationReport, RelationResidual, build_all_generators,
+                   composite_chain, max_entry, relation_residual)
+from .cgc import Row, admissible_aux
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,10 @@ def canonical_vector_operator(ambient: IrrepLabel, ctx: QContext) -> VectorOpera
     """The vector operator carried by a next-rank irrep restricted to the
     chain subalgebra: component k is the composite generator from level n+1
     down to slot k, component n the plain top generator."""
+    if ambient.n < 3:
+        raise ValidationError(f"an ambient needs rank >= 3, got n={ambient.n}")
     n = ambient.n - 1
-    gens = _cached_generators(ambient, ctx)
+    gens = build_all_generators(ambient, ctx)
     low = [g.mat for g in gens[:n - 1]]
     chain = composite_chain(gens[n - 1].mat, low, low, "+", ctx)
     blocks = _restriction_blocks(ambient)
@@ -150,8 +154,7 @@ def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row, ctx: QContext,
                     aux: IrrepLabel | None = None) -> dict[int, np.ndarray]:
     """Primed inverse coefficients of every slot 1..n for one (target,
     source) weight pair: slot k maps to a target x source array."""
-    (aux, mu), = admissible_aux(src_label, m_tgt, False, ctx, aux=aux)
-    blocks = aux_blocks(src_label.with_weight(m_tgt), src_label, aux, "+", ctx)
+    (_, mu, blocks), = admissible_aux(src_label, m_tgt, False, ctx, aux=aux)
     return {k: block / mu for k, block in blocks.items()}
 
 

@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py -v` to see the verdict lines.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import time
 
 import numpy as np
 
+import qso_reps
 from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       assemble_decomposition, branching_set,
                       build_all_generators, build_generator,
@@ -312,9 +314,12 @@ def test_criterion_9_classical_limit():
 def test_criterion_10_cli_determinism():
     cmd = [sys.executable, "-m", "qso_reps.cli", "decompose", "--algebra", "4",
            "--weight", "1,1", "--q", "1.3,0.7"]
+    # the child imports the same qso_reps as this test, installed or not
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qso_reps.__file__)))
     outputs = set()
     for _ in range(3):
-        result = subprocess.run(cmd, capture_output=True, check=True)
+        result = subprocess.run(cmd, capture_output=True, check=True, env=env)
         outputs.add(result.stdout)
     violations = [] if len(outputs) == 1 else [("distinct outputs",
                                                 len(outputs))]

@@ -157,8 +157,7 @@ def test_selection_rules_match_matrix_support():
     src_basis = enumerate_patterns(label)
     for branch in branching_set(label.m_top, 4, CLASSICAL):
         target = label.with_weight(branch.row)
-        (aux, _), = admissible_aux(label, branch.row, True, CTX)
-        blocks = aux_blocks(label, target, aux, "-", CTX)
+        (_, _, blocks), = admissible_aux(label, branch.row, True, CTX)
         tgt_basis = enumerate_patterns(target)
         for k in ("+", "-", 3, 4):
             mat = blocks[2 if k in ("+", "-") else k]
@@ -242,8 +241,8 @@ def test_aux_blocks_match_dense_auxiliary_irrep(label):
                     picked[forward].append(aux)
         for forward, dense_pick in picked.items():
             assert dense_pick, (label, branch.row, forward)
-            got = [a for a, _ in admissible_aux(label, branch.row, forward,
-                                                CTX, want=2)]
+            got = [a for a, _, _ in admissible_aux(label, branch.row, forward,
+                                                   CTX, want=2)]
             assert got == dense_pick[:2]
 
 
@@ -359,3 +358,80 @@ def test_recurse_cgc_rejects_unusable_aux():
     src = next(p for p in basis.patterns if p.m12 == H(0))
     with pytest.raises(AuxSearchError):
         recurse_cgc("+", tgt, src, CLASSICAL, None, CTX, aux=bad)
+
+
+def _per_term_matrix(label, entries, ctx):
+    """Reference intertwiner: one scalar update per listed term, the slot-1
+    and slot-2 rows from the source's rank-2 coupled vectors."""
+    basis = enumerate_patterns(label)
+    n, d = label.n, basis.dim
+    eps2 = label.eps[0] if label.kind == NONCLASSICAL else 0
+    mat = np.zeros((n * d, len(entries)), dtype=complex)
+    for col, (_, terms) in enumerate(entries):
+        for k, src, value in terms:
+            i = basis.position(src)
+            if k in ("+", "-"):
+                vp, vm = so2_coupled_vectors(src.m12, label.kind, eps2, ctx)
+                vec = vp if k == "+" else vm
+                mat[i, col] += value * vec[0]
+                mat[d + i, col] += value * vec[1]
+            else:
+                mat[(int(k) - 1) * d + i, col] += value
+    return mat
+
+
+@pytest.mark.parametrize("label", [
+    lab(3, (2,)), lab(4, (2, 0)), lab(4, (1, 1)), lab(5, (4, 2)),
+    lab(3, (3,), NONCLASSICAL, (1, -1)),
+    lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+    lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1)),
+])
+def test_matrix_matches_per_term_reference(label):
+    for it in assemble_decomposition(label, CTX).values():
+        table = it.table
+        entries = table.entries
+        want = _per_term_matrix(label, entries, CTX)
+        assert it.matrix.shape == want.shape
+        bound = 1e-15 * max(1.0, float(np.abs(want).max()))
+        assert np.abs(it.matrix - want).max() <= bound
+        # entries lists every nonzero of the slot arrays once, in target,
+        # slot, source order, with the array's value
+        names = list(table.slots)
+        assert names == ["+", "-"] + list(range(3, label.n + 1))
+        src_basis = enumerate_patterns(label)
+        listed = []
+        for j, (tgt, terms) in enumerate(entries):
+            assert tgt == enumerate_patterns(it.target).patterns[j]
+            for k, src, value in terms:
+                slot = [str(name) for name in names].index(k)
+                i = src_basis.position(src)
+                assert value == table.slots[names[slot]][i, j] != 0
+                listed.append((j, slot, i))
+        nonzeros = [(j, slot, i) for slot, k in enumerate(names)
+                    for i, j in np.argwhere(table.slots[k] != 0)]
+        assert listed == sorted(nonzeros)
+
+
+def test_each_aux_top_block_is_evaluated_once(monkeypatch):
+    evaluated = []
+    real = qso_reps.reps.generator_block
+
+    def spy(label, k, rows, cols, ctx):
+        evaluated.append((label, tuple(rows), tuple(cols)))
+        return real(label, k, rows, cols, ctx)
+
+    # the aux search reaches generator_block through cgc's binding
+    monkeypatch.setattr(qso_reps.cgc, "generator_block", spy)
+    # a q no other test uses, so nothing comes from a cache
+    ctx = QContext(1.2468)
+    for label in (lab(5, (4, 2)), lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
+        evaluated.clear()
+        assemble_decomposition(label, ctx)
+        assert {aux.n for aux, _, _ in evaluated} == {label.n + 1}
+        assert len(set(evaluated)) == len(evaluated)
+    for ambient in (lab(5, (4, 2)), lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))):
+        vop = canonical_vector_operator(ambient, ctx)
+        evaluated.clear()
+        reduced_matrix_elements(vop, ctx)
+        assert {aux.n for aux, _, _ in evaluated} == {ambient.n}
+        assert len(set(evaluated)) == len(evaluated)

@@ -227,3 +227,20 @@ def test_reduced_rank_two_negative_weights(capsys):
     pairs = json.loads(out)["results"][0]["pairs"]
     assert pairs
     assert all(p["residual"] < 1e-8 for p in pairs)
+
+
+@pytest.mark.parametrize("argv", [
+    # argparse turns the value of `--weight=--` into an empty list
+    ("dim", "--algebra", "3", "--weight=--"),
+    ("reduced", "--algebra", "3", "--ambient-weight=--"),
+    # a rank-2 ambient restricts to so1, which carries no vector operator
+    ("reduced", "--algebra", "1", "--ambient-weight", "1"),
+    ("reduced", "--algebra", "1", "--ambient-weight", "0"),
+    # `--eps=--` loses its value the same way and reads as a missing --eps
+    ("dim", "--algebra", "3", "--kind", "nonclassical", "--weight", "3/2",
+     "--eps=--"),
+])
+def test_malformed_input_exits_two_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
-                      canonical_vector_operator, check_vector_operator,
-                      direct_sum, enumerate_patterns, primed_inverse_cgc,
-                      reduced_matrix_elements, top_cgc)
+                      ValidationError, canonical_vector_operator,
+                      check_vector_operator, direct_sum, enumerate_patterns,
+                      primed_inverse_cgc, reduced_matrix_elements, top_cgc)
 from qso_reps.gtbasis import branch_rows
 from qso_reps.wigner import FactorizationError, VectorOperator
 
@@ -198,6 +198,12 @@ def test_trivial_ambient_chain_closes_on_zero():
     z = np.zeros((1, 1), dtype=complex)
     vop = VectorOperator(2, (), (z,), (z, z))
     assert check_vector_operator(vop, CTX).all_passed
+
+
+def test_canonical_operator_needs_ambient_rank_three():
+    for ambient in (lab(2, (2,)), lab(2, (0,))):
+        with pytest.raises(ValidationError, match="rank >= 3"):
+            canonical_vector_operator(ambient, CTX)
 
 
 def test_covariance_degenerates_to_commutator_near_one():
