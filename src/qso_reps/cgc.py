@@ -35,8 +35,7 @@ from .qarith import (HalfInt, QContext, ValidationError, q_bracket,
                      q_bracket_plus, q_power)
 from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, GTPattern,
                       IrrepLabel, branch_rows, branching_set, covers,
-                      enumerate_patterns, extend_pattern, first_completion,
-                      l_coords, rows_above, rows_below)
+                      enumerate_patterns, extend_pattern, l_coords, rows_above)
 from .reps import (GeneratorMatrix, RelationReport, build_all_generators,
                    composite_chain, generator_block, max_entry,
                    relation_residual)
@@ -111,6 +110,25 @@ def top_cgc(m_src: Row, m_tgt: Row, m_below: Row, level: int, kind: str,
     for lr in lbel:
         product *= q_bracket(lj + lr + a, ctx) * q_bracket(lj - lr + b, ctx)
     return cmath.sqrt(product)
+
+
+def top_table(source: IrrepLabel, target: IrrepLabel, ctx: QContext) -> np.ndarray:
+    """Source x target array of `top_cgc` (closed-form slot n) where the source
+    tableau shares the target's rows below level n, else 0; evaluated once
+    per run of target tableaux sharing the row below level n."""
+    src_index = enumerate_patterns(source).index
+    tgt = enumerate_patterns(target).patterns
+    table = np.zeros((len(src_index), len(tgt)), dtype=complex)
+    last, value = None, 0j
+    for j, t in enumerate(tgt):
+        i = src_index.get(GTPattern((source.m_top,) + t.rows[1:]))
+        if i is not None:
+            below = t.rows[1] if len(t.rows) > 1 else ()
+            if below != last:
+                last, value = below, top_cgc(source.m_top, target.m_top, below,
+                                             source.n, source.kind, ctx)
+            table[i, j] = value
+    return table
 
 
 def _level2_pairing_ok(k: str, m_src: HalfInt, m_tgt: HalfInt, kind: str) -> bool:
@@ -193,30 +211,20 @@ def aux_blocks(rows: IrrepLabel, cols: IrrepLabel, aux: IrrepLabel, sign: str,
                            sign, ctx)
 
 
-def _block_mu(source: IrrepLabel, m_tgt: Row, top: np.ndarray, forward: bool,
-              ctx: QContext) -> complex | None:
-    """Normalising ratio DEN/TOP of one block pair, or None when DEN is tiny
-    against the largest entry of `top`, whose rows are the source tableaux
-    when `forward` and the target tableaux otherwise; TOP, the closed form,
-    keeps the source-to-target orientation either way."""
-    n, kind = source.n, source.kind
-    src_basis = enumerate_patterns(source)
-    tgt_basis = enumerate_patterns(source.with_weight(m_tgt))
-    scale = float(np.abs(top).max())
-    for m_hat in rows_below(source.m_top, n, kind):
-        if n - 1 >= 2 and not covers(m_tgt, m_hat, n, kind):
-            continue
-        third = top_cgc(source.m_top, m_tgt, m_hat, n, kind, ctx)
-        if third == 0:
-            continue
-        tail = (m_hat,) + first_completion(m_hat, n - 1, kind) if n - 1 >= 2 else ()
-        i_src = src_basis.position(GTPattern((source.m_top,) + tail))
-        i_tgt = tgt_basis.position(GTPattern((m_tgt,) + tail))
-        den = top[i_src, i_tgt] if forward else top[i_tgt, i_src]
-        if abs(den) <= 1e-6 * scale:
-            return None
-        return den / third
-    return None
+def _block_mu(closed: np.ndarray, top: np.ndarray,
+              forward: bool) -> complex | None:
+    """Normalising ratio DEN/TOP at the first nonzero (i, j) of the closed
+    form `closed` in target order, or None unless DEN exceeds 1e-6 of the
+    largest entry of the aux block `top` (rows: source tableaux when
+    `forward`, else target tableaux); a non-finite DEN or block fails."""
+    nonzero = np.argwhere(closed.T)
+    if not nonzero.size:
+        return None
+    j, i = nonzero[0]
+    den = top[i, j] if forward else top[j, i]
+    if not abs(den) > 1e-6 * float(np.abs(top).max()):
+        return None
+    return den / closed[i, j]
 
 
 def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
@@ -233,11 +241,12 @@ def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
     target = source.with_weight(m_tgt)
     rows, cols, sign = ((source, target, "-") if forward
                         else (target, source, "+"))
+    closed = top_table(source, target, ctx)
     found: list[tuple[IrrepLabel, complex, dict[int, np.ndarray]]] = []
     tried = [aux] if aux is not None else aux_candidates(source, m_tgt)
     for candidate in tried:
         blocks = aux_blocks(rows, cols, candidate, sign, ctx)
-        mu = _block_mu(source, m_tgt, blocks[source.n], forward, ctx)
+        mu = _block_mu(closed, blocks[source.n], forward)
         if mu is not None:
             found.append((candidate, mu, blocks))
             if len(found) >= want:
@@ -304,19 +313,6 @@ class CGCTable:
                       for i in np.flatnonzero(values[:, j])))
             for j, t in enumerate(enumerate_patterns(self.target).patterns))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "source": self.source.to_jsonable(),
-            "target": [e.twice for e in self.target.m_top],
-            "entries": [
-                {"target_pattern": t.to_jsonable(),
-                 "terms": [{"k": k, "source_pattern": s.to_jsonable(),
-                            "re": float(v.real), "im": float(v.imag)}
-                           for k, s, v in terms]}
-                for t, terms in self.entries
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class Intertwiner:
@@ -335,13 +331,13 @@ def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
     """Unnormalised source x target coefficient arrays of one target block,
     one per slot "+", "-", 3..n.  At the nonzero block entries of slots
     below n the selection rules split slot 2 into "+" and "-", and every
-    entry they force to vanish must be negligible against its block.  Slot
-    n is the closed form at the source sharing the rows below level n."""
+    entry they force to vanish must be negligible against its block (NaN
+    never is).  Slot n is the closed form, `top_table`."""
     n, kind = label.n, label.kind
-    src_basis = enumerate_patterns(label)
-    src, tgt = src_basis.patterns, enumerate_patterns(target).patterns
+    src, tgt = (enumerate_patterns(label).patterns,
+                enumerate_patterns(target).patterns)
     table = {k: np.zeros((len(src), len(tgt)), dtype=complex)
-             for k in ("+", "-", *range(3, n + 1))}
+             for k in ("+", "-", *range(3, n))}
     for slot, (raw, values) in slots.items():
         names = ("+", "-") if slot == 2 else (slot,)
         bound = ctx.tolerance(float(np.abs(raw).max()))
@@ -349,17 +345,13 @@ def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
             live = [k for k in names if not cgc_is_zero(k, src[i], tgt[j], kind)]
             if live:
                 table[live[0]][i, j] = values[i, j]
-            elif abs(raw[i, j]) > bound:
+            elif not abs(raw[i, j]) <= bound:
                 raise DecompositionError(
                     f"slot {slot} element {abs(raw[i, j]):.3e} of "
                     f"{src[i]} -> {tgt[j]} breaks the selection rules "
                     f"(bound {bound:.3e})")
     if n > 2:
-        for j, t in enumerate(tgt):
-            i = src_basis.index.get(GTPattern((label.m_top,) + t.rows[1:]))
-            if i is not None:
-                table[n][i, j] = top_cgc(label.m_top, target.m_top,
-                                         t.row(n - 1), n, kind, ctx)
+        table[n] = top_table(label, target, ctx)
     return table
 
 
@@ -418,7 +410,7 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
             for slot, (_, values) in slots.items():
                 check = other[slot][1]
                 scale = np.maximum(np.maximum(np.abs(values), np.abs(check)), 1.0)
-                bad = np.argwhere(np.abs(check - values) > 1e-8 * scale)
+                bad = np.argwhere(~(np.abs(check - values) <= 1e-8 * scale))
                 if bad.size:
                     i, j = bad[0]
                     raise DecompositionError(

@@ -1,4 +1,5 @@
-"""Command-line front end with deterministic JSON/CSV output.
+"""Command-line front end with deterministic JSON/CSV output; the only
+module that decides how labels, tableaux and tables are written.
 
 Exit codes: 0 success, 1 a numerical check failed, 2 invalid input.
 """
@@ -10,6 +11,8 @@ import csv
 import io
 import os
 import sys
+
+import numpy as np
 
 from .qarith import HalfInt, QContext, ValidationError
 from .gtbasis import CLASSICAL, NONCLASSICAL, IrrepLabel, dimension
@@ -24,14 +27,6 @@ _DEFAULT_TOL = 1e-9
 
 def _fmt(value) -> str:
     """Render a JSON value with floats at 17 significant digits."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, dict):
@@ -39,15 +34,63 @@ def _fmt(value) -> str:
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_fmt(v) for v in value) + "]"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
+    """A JSON scalar or a CSV cell; floats at 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if value is None:
+        return "null"
     raise TypeError(f"cannot serialise {type(value).__name__}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# One writer per output form: a weight row as doubled entries or as CSV text
+# "(3/2,1/2)", a tableau (rows top first), a label, a coupling table, and the
+# JSON items and CSV rows of the reduced elements at one q.
+
+def _weight(row) -> list[int]:
+    return [e.twice for e in row]
+
+
+def _weight_text(row) -> str:
+    return "(" + ",".join(str(e) for e in row) + ")"
+
+
+def _pattern(pattern) -> list[list[int]]:
+    return [_weight(row) for row in pattern.rows]
+
+
+def _label(label) -> dict:
+    return {"n": label.n, "kind": label.kind, "weight": _weight(label.m_top),
+            "eps": list(label.eps) if label.eps else None}
+
+
+def _table(table) -> dict:
+    return {"source": _label(table.source),
+            "target": _weight(table.target.m_top),
+            "entries": [{"target_pattern": _pattern(t),
+                         "terms": [{"k": k, "source_pattern": _pattern(s),
+                                    "re": float(v.real), "im": float(v.imag)}
+                                   for k, s, v in terms]}
+                        for t, terms in table.entries]}
+
+
+def _reduced_pairs(q: float, reduced) -> tuple[list[dict], list[dict]]:
+    pairs, rows = [], []
+    for (m_t, s_t, m_s, s_s), entry in reduced.entries.items():
+        value = {"re": float(entry.value.real), "im": float(entry.value.imag),
+                 "residual": float(entry.residual)}
+        pairs.append({"m_target": _weight(m_t), "s_target": s_t,
+                      "m_source": _weight(m_s), "s_source": s_s, **value})
+        rows.append({"q": q, "m_target": _weight_text(m_t),
+                     "m_source": _weight_text(m_s), **value})
+    return pairs, rows
 
 
 def _emit(payload: dict, rows: list[dict], args) -> None:
@@ -59,7 +102,7 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(rows[0].keys())
             for row in rows:
-                writer.writerow([_csv_cell(v) for v in row.values()])
+                writer.writerow([_scalar(v) for v in row.values()])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -113,15 +156,14 @@ def _context(args, q: float) -> QContext:
 def cmd_dim(args) -> int:
     label = _label_from(args)
     d = dimension(label)
-    payload = {"label": label.to_jsonable(), "dim": d, "patterns": d}
-    _emit(payload, [{"dim": d, "patterns": d}], args)
+    _emit({"label": _label(label), "dim": d, "patterns": d},
+          [{"dim": d, "patterns": d}], args)
     return 0
 
 
 def cmd_check(args) -> int:
     label = _label_from(args)
-    results = []
-    rows = []
+    results, rows = [], []
     ok = True
     for q in _parse_qs(args.q):
         ctx = _context(args, q)
@@ -133,44 +175,35 @@ def cmd_check(args) -> int:
         results.append({"q": q, "passed": report.all_passed,
                         "relations": relations})
         rows += [{"q": q, **r} for r in relations]
-    payload = {"label": label.to_jsonable(), "results": results, "passed": ok}
-    _emit(payload, rows, args)
+    _emit({"label": _label(label), "results": results, "passed": ok}, rows,
+          args)
     return 0 if ok else 1
 
 
 def cmd_decompose(args) -> int:
     label = _label_from(args)
     n, d = label.n, dimension(label)
-    results = []
-    rows = []
+    results, rows = [], []
     for q in _parse_qs(args.q):
         ctx = _context(args, q)
         blocks = assemble_decomposition(label, ctx)
         block_items = []
         for m_tgt, it in blocks.items():
+            dim, replaced = it.matrix.shape[1], it.table.replaced
             block_items.append({
-                "target": [e.twice for e in m_tgt],
-                "dim": it.matrix.shape[1],
-                "replaced": it.table.replaced,
+                "target": _weight(m_tgt), "dim": dim, "replaced": replaced,
                 "residuals": [{"generator": k, "residual": e.residual,
                                "scale": e.scale}
                               for k, e in enumerate(it.residuals.entries, 1)],
-                "cgc": it.table.to_jsonable(),
-            })
-            rows.append({"q": q, "target": "(" + ",".join(str(e) for e in m_tgt) + ")",
-                         "dim": it.matrix.shape[1],
-                         "replaced": it.table.replaced,
+                "cgc": _table(it.table)})
+            rows.append({"q": q, "target": _weight_text(m_tgt), "dim": dim,
+                         "replaced": replaced,
                          "max_residual": it.residuals.max_residual})
-        rank = decomposition_rank(blocks, ctx)
-        results.append({
-            "q": q,
-            "blocks": block_items,
-            "rank": rank,
-            "dim_product": n * d,
-            "sum_rule_ok": sum(b["dim"] for b in block_items) == n * d,
-        })
-    payload = {"label": label.to_jsonable(), "results": results}
-    _emit(payload, rows, args)
+        results.append({"q": q, "blocks": block_items,
+                        "rank": decomposition_rank(blocks, ctx),
+                        "dim_product": n * d,
+                        "sum_rule_ok": sum(b["dim"] for b in block_items) == n * d})
+    _emit({"label": _label(label), "results": results}, rows, args)
     return 0
 
 
@@ -179,8 +212,7 @@ def cmd_reduced(args) -> int:
     ambient = _label_from(args, kind_attr="ambient_kind",
                           weight_attr="ambient_weight", eps_attr="ambient_eps",
                           n=n + 1)
-    results = []
-    rows = []
+    results, rows = [], []
     for q in _parse_qs(args.q):
         ctx = _context(args, q)
         vop = canonical_vector_operator(ambient, ctx)
@@ -189,18 +221,12 @@ def cmd_reduced(args) -> int:
             raise FactorizationError(
                 f"canonical operator failed covariance check at q={q}: "
                 f"max residual {report.max_residual:.3e}")
-        reduced = reduced_matrix_elements(vop, ctx)
-        for (m_t, _, m_s, _), entry in reduced.entries.items():
-            rows.append({"q": q,
-                         "m_target": "(" + ",".join(str(e) for e in m_t) + ")",
-                         "m_source": "(" + ",".join(str(e) for e in m_s) + ")",
-                         "re": entry.value.real, "im": entry.value.imag,
-                         "residual": entry.residual})
-        results.append({"q": q, "pairs": reduced.to_jsonable()["pairs"],
+        pairs, pair_rows = _reduced_pairs(q, reduced_matrix_elements(vop, ctx))
+        rows += pair_rows
+        results.append({"q": q, "pairs": pairs,
                         "covariance_residual": report.max_residual})
-    payload = {"ambient": ambient.to_jsonable(), "algebra": n,
-               "results": results}
-    _emit(payload, rows, args)
+    _emit({"ambient": _label(ambient), "algebra": n, "results": results},
+          rows, args)
     return 0
 
 
@@ -285,9 +311,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(
         _attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        # every check fails on NaN, so numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except (DecompositionError, AuxSearchError, FactorizationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)

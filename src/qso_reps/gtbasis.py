@@ -159,12 +159,6 @@ class IrrepLabel:
     def with_weight(self, m: tuple[HalfInt, ...]) -> "IrrepLabel":
         return IrrepLabel(self.n, self.kind, m, self.eps)
 
-    def to_jsonable(self) -> dict:
-        """Rank, kind, doubled weight entries and eps (None if classical)."""
-        return {"n": self.n, "kind": self.kind,
-                "weight": [e.twice for e in self.m_top],
-                "eps": list(self.eps) if self.eps else None}
-
     def __repr__(self) -> str:
         w = ",".join(str(e) for e in self.m_top)
         if self.kind == NONCLASSICAL:
@@ -210,10 +204,6 @@ class GTPattern:
         """Rows from `level` down to 2 (the sub-tableau shared in lookups)."""
         return self.rows[self.n - level:]
 
-    def to_jsonable(self) -> list[list[int]]:
-        """Rows top first, each as doubled entries."""
-        return [[e.twice for e in row] for row in self.rows]
-
     def __repr__(self) -> str:
         return "|" + ";".join(",".join(str(e) for e in r) for r in self.rows) + ">"
 
@@ -237,10 +227,6 @@ class BasisIndex:
 
     def position(self, pattern: GTPattern) -> int:
         return self.index[pattern]
-
-    def to_jsonable(self) -> dict:
-        return {**self.label.to_jsonable(),
-                "patterns": [p.to_jsonable() for p in self.patterns]}
 
 
 @lru_cache(maxsize=None)
@@ -315,15 +301,3 @@ def branching_set(m: tuple[HalfInt, ...], level: int,
 @lru_cache(maxsize=None)
 def branch_rows(m: tuple[HalfInt, ...], level: int, kind: str) -> frozenset[tuple[HalfInt, ...]]:
     return frozenset(t.row for t in branching_set(m, level, kind))
-
-
-def first_completion(row: tuple[HalfInt, ...], level: int,
-                     kind: str) -> tuple[tuple[HalfInt, ...], ...]:
-    """Rows level-1 .. 2 filled with the lexicographically first choice."""
-    out = []
-    current, lvl = row, level
-    while lvl > 2:
-        current = rows_below(current, lvl, kind)[0]
-        out.append(current)
-        lvl -= 1
-    return tuple(out)

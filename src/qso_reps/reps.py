@@ -51,15 +51,6 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def to_jsonable(self) -> dict:
-        triplets = []
-        for r in range(self.mat.shape[0]):
-            for c in range(self.mat.shape[1]):
-                v = self.mat[r, c]
-                if v != 0:
-                    triplets.append([r, c, float(v.real), float(v.imag)])
-        return {"dim": self.dim, "gen": self.gen, "triplets": triplets}
-
 
 def _product(ctx: QContext, factors: list[HalfInt], plus: bool = False) -> float:
     """Product of q-brackets; exactly 0.0 when a plain bracket has argument

@@ -190,17 +190,6 @@ class ReducedElements:
     entries: dict
     forbidden: dict
 
-    def to_jsonable(self) -> dict:
-        pairs = []
-        for (m_t, s_t, m_s, s_s), entry in self.entries.items():
-            pairs.append({
-                "m_target": [e.twice for e in m_t], "s_target": s_t,
-                "m_source": [e.twice for e in m_s], "s_source": s_s,
-                "re": float(entry.value.real), "im": float(entry.value.imag),
-                "residual": float(entry.residual),
-            })
-        return {"pairs": pairs}
-
 
 class FactorizationError(RuntimeError):
     """Ratios of matrix elements to inverse coefficients failed to be
@@ -224,7 +213,7 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElemen
 
     Raises FactorizationError when the ratio of a raw matrix element to its
     primed inverse coefficient deviates from the fitted constant by more
-    than `_RATIO_TOL` (relative).
+    than `_RATIO_TOL` (relative), or when a value it reads is NaN.
     """
     entries: dict = {}
     forbidden: dict = {}
@@ -259,12 +248,12 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElemen
             residual = float(np.abs(ratios - value).max()) / ref
             silent = ~live
             silent_raw = float(np.abs(raws[silent]).max()) if silent.any() else 0.0
-            raw_scale = max(float(np.abs(raws).max()), 1.0)
-            if silent_raw > ctx.tolerance(raw_scale):
+            tol = ctx.tolerance(max(float(np.abs(raws).max()), 1.0))
+            if not silent_raw <= tol:
                 raise FactorizationError(
                     f"matrix element {silent_raw:.3e} outside the inverse-"
                     f"coefficient support on pair {key}")
-            if residual > _RATIO_TOL and abs(value) * dmax > ctx.tolerance(raw_scale):
+            if not (residual <= _RATIO_TOL or abs(value) * dmax <= tol):
                 raise FactorizationError(
                     f"non-constant ratio on pair {key}: spread {residual:.3e}")
             first = complex(ratios[0]) if ratios.size else 0j

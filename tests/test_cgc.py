@@ -1,9 +1,11 @@
 import cmath
 import functools
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qso_reps.cgc
 import qso_reps.reps
@@ -15,9 +17,11 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GTPattern, HalfInt, IrrepLabel,
                       composite_generator, dimension, enumerate_patterns,
                       q_bracket, recurse_cgc, reduced_matrix_elements,
                       so2_coupled_vectors, so3_cgc, tensor_rep, top_cgc)
-from qso_reps.cgc import (AuxSearchError, admissible_aux, aux_blocks,
-                          aux_candidates, cgc_is_zero, decomposition_rank)
-from qso_reps.gtbasis import covers, first_completion, rows_below
+from qso_reps.cgc import (AuxSearchError, DecompositionError, admissible_aux,
+                          aux_blocks, aux_candidates, cgc_is_zero,
+                          decomposition_rank, top_table)
+from qso_reps.cli import main as cli_main
+from qso_reps.gtbasis import covers, rows_below, weight_is_dominant
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -173,6 +177,17 @@ def test_selection_rules_match_matrix_support():
                         if not cgc_is_zero(other, src, tgt, CLASSICAL):
                             continue
                     assert abs(mat[i, j]) <= 1e-10 * (1 + np.abs(mat).max())
+
+
+def first_completion(row, level, kind):
+    """Rows level-1 .. 2 filled with the lexicographically first choice."""
+    out = []
+    current, lvl = row, level
+    while lvl > 2:
+        current = rows_below(current, lvl, kind)[0]
+        out.append(current)
+        lvl -= 1
+    return tuple(out)
 
 
 def _dense_mu(source, m_tgt, top, aux_basis, aux, forward):
@@ -338,12 +353,12 @@ def test_assemble_residuals_small():
     assert max(it.residuals.max_residual for it in blocks.values()) <= 1e-10
 
 
-def test_cgc_table_json():
-    label = lab(3, (2,))
-    blocks = assemble_decomposition(label, CTX)
-    data = blocks[(H(4),)].table.to_jsonable()
-    text = json.dumps(data)
-    assert json.loads(text)["target"] == [4]
+def test_cgc_table_json(capsys):
+    assert cli_main(["decompose", "--algebra", "3", "--weight", "1",
+                     "--q", "1.3"]) == 0
+    blocks = json.loads(capsys.readouterr().out)["results"][0]["blocks"]
+    data = next(b["cgc"] for b in blocks if b["target"] == [4])
+    assert data["target"] == [4] and data["source"]["weight"] == [2]
     assert data["entries"][0]["terms"]
     term = data["entries"][0]["terms"][0]
     assert set(term) == {"k", "source_pattern", "re", "im"}
@@ -435,3 +450,85 @@ def test_each_aux_top_block_is_evaluated_once(monkeypatch):
         reduced_matrix_elements(vop, ctx)
         assert {aux.n for aux, _, _ in evaluated} == {ambient.n}
         assert len(set(evaluated)) == len(evaluated)
+
+
+@pytest.mark.parametrize("label", [
+    lab(3, (4,)),
+    lab(5, (4, 2)),
+    lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+])
+def test_top_table_is_the_slot_n_closed_form(label):
+    n, src = label.n, enumerate_patterns(label).patterns
+    for branch in branching_set(label.m_top, n, label.kind):
+        target = label.with_weight(branch.row)
+        table = top_table(label, target, CTX)
+        for j, tgt in enumerate(enumerate_patterns(target).patterns):
+            # filled where the selection rules of slot n leave an entry
+            expected = [0j if cgc_is_zero(n, s, tgt, label.kind) else
+                        top_cgc(label.m_top, target.m_top, tgt.row(n - 1), n,
+                                label.kind, CTX) for s in src]
+            assert np.array_equal(table[:, j], expected)
+            assert np.count_nonzero(table[:, j]) <= 1
+
+
+def test_nan_aux_candidates_are_unusable():
+    # at q = 1e20 every candidate's block of so5(3,1) is NaN; no NaN ratio
+    # may pass the usability test
+    with np.errstate(all="ignore"):
+        with pytest.raises(AuxSearchError, match="no usable auxiliary weight"):
+            assemble_decomposition(lab(5, (6, 2)), QContext(1e20))
+
+
+def test_nan_in_second_aux_block_is_a_disagreement(monkeypatch):
+    real = qso_reps.cgc.aux_blocks
+    seen = set()
+
+    def poisoned(rows, cols, aux, sign, ctx):
+        blocks = real(rows, cols, aux, sign, ctx)
+        if (rows, cols) in seen:  # a later candidate of this block pair
+            blocks[3] = blocks[3].copy()
+            blocks[3][0, 0] = np.nan
+        seen.add((rows, cols))
+        return blocks
+
+    monkeypatch.setattr(qso_reps.cgc, "aux_blocks", poisoned)
+    with pytest.raises(DecompositionError, match="auxiliary weights .* disagree"):
+        assemble_decomposition(lab(5, (4, 2)), CTX)
+
+
+def _small_labels(max_dim):
+    """Labels of rank 2..5 with entries in [-2, 2] and at most max_dim
+    tableaux; nonclassical ones with every sign vector."""
+    out = []
+    for n, kind in itertools.product(range(2, 6), (CLASSICAL, NONCLASSICAL)):
+        signs = ([None] if kind == CLASSICAL
+                 else list(itertools.product((1, -1), repeat=n - 1)))
+        for twice in itertools.product(range(-4, 5), repeat=n // 2):
+            row = tuple(H(t) for t in twice)
+            if weight_is_dominant(row, n, kind):
+                out += [label for label in (IrrepLabel(n, kind, row, e)
+                                            for e in signs)
+                        if dimension(label) <= max_dim]
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(label=st.sampled_from(_small_labels(20)), q=st.floats(1.1, 2.0))
+def test_tables_at_q_and_inverse_q_differ_by_powers_of_q(label, q):
+    # q <-> 1/q duality: each normalised coefficient at 1/q is its value at q
+    # times a phase and q^(e/2) with e an integer, on the same support; the
+    # phase is +1 for the classical family and +1 or -1 for the nonclassical
+    phases = (1,) if label.kind == CLASSICAL else (1, -1)
+    at_q = assemble_decomposition(label, QContext(q))
+    at_inverse = assemble_decomposition(label, QContext(1 / q))
+    assert at_q.keys() == at_inverse.keys()
+    for m_tgt, block in at_q.items():
+        for k, values in block.table.slots.items():
+            dual = at_inverse[m_tgt].table.slots[k]
+            support = values != 0
+            assert np.array_equal(support, dual != 0)
+            ratio = dual[support] / values[support]
+            twice_e = 2 * np.log(np.abs(ratio)) / np.log(q)
+            assert np.all(np.abs(twice_e - np.round(twice_e)) <= 1e-9)
+            phase = ratio / np.abs(ratio)
+            assert all(min(abs(p - s) for s in phases) <= 1e-9 for p in phase)

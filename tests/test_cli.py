@@ -244,3 +244,25 @@ def test_malformed_input_exits_two_without_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_q_leaves_stderr_empty(capsys):
+    # rejected aux candidates meet inf * 0 here; no numpy warning may reach
+    # stderr ahead of (or instead of) the CLI's own message
+    code, out, err = run(capsys, "decompose", "--algebra", "4", "--weight",
+                         "1,1", "--q", "1e25")
+    assert code == 0 and out and err == ""
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    import qso_reps.cli as cli
+
+    def too_large(label, ctx):
+        raise MemoryError("Unable to allocate 596. GiB for an array")
+
+    monkeypatch.setattr(cli, "build_all_generators", too_large)
+    code, out, err = run(capsys, "check", "--algebra", "3", "--weight",
+                         "99999", "--q", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -280,19 +280,6 @@ def test_generator_matrix_structure():
             assert np.abs(np.diag(m).real).max() == 0.0
 
 
-def test_sparse_json_export():
-    gen = build_generator(lab(3, (2,)), 2, CTX)
-    data = gen.to_jsonable()
-    assert data["dim"] == 3
-    assert data["gen"] == "I(3,2)"
-    rebuilt = np.zeros((3, 3), dtype=complex)
-    for r, c, re, im in data["triplets"]:
-        rebuilt[r, c] = re + 1j * im
-    assert np.array_equal(rebuilt, gen.mat)
-    rows_cols = [(r, c) for r, c, _, _ in data["triplets"]]
-    assert rows_cols == sorted(rows_cols)
-
-
 def reference_generator(label, k, ctx):
     """Generator k by a plain loop over every column and step that calls the
     public coefficient formulas directly, with no memo."""
@@ -390,3 +377,16 @@ def test_coefficients_evaluated_once_per_row_triple(monkeypatch):
     # up and down for each entry of row k, plus the diagonal at odd k
     most_steps = max(2 * (k // 2) + k % 2 for k in range(1, label.n))
     assert 0 < calls[0] <= len(keys) * most_steps
+
+
+@pytest.mark.parametrize("label", [
+    lab(3, (4,)), lab(4, (2, 2)), lab(5, (4, 2)), lab(6, (4, 2, 0)),
+])
+def test_classical_generators_are_symmetric_in_q_and_inverse_q(label):
+    # the classical coefficients are symmetric under q -> 1/q; the
+    # nonclassical ones are not
+    for q in (1.3, 5.0):
+        at_q = build_all_generators(label, QContext(q))
+        at_inverse = build_all_generators(label, QContext(1 / q))
+        for g, h in zip(at_q, at_inverse):
+            assert np.abs(g.mat - h.mat).max() <= 1e-15 * np.abs(g.mat).max()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       ValidationError, canonical_vector_operator,
                       check_vector_operator, direct_sum, enumerate_patterns,
                       primed_inverse_cgc, reduced_matrix_elements, top_cgc)
+from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import branch_rows
 from qso_reps.wigner import FactorizationError, VectorOperator
 
@@ -239,9 +242,22 @@ def test_factorization_error_on_broken_operator(vop_so5_vec):
         reduced_matrix_elements(broken_vop, CTX)
 
 
-def test_reduced_json_shape(vop_so5_vec):
-    red = reduced_matrix_elements(vop_so5_vec, CTX)
-    data = red.to_jsonable()
-    assert data["pairs"]
-    assert set(data["pairs"][0]) == {"m_target", "s_target", "m_source",
-                                     "s_source", "re", "im", "residual"}
+def test_reduced_json_shape(capsys):
+    # the CLI's JSON for the ambient of vop_so5_vec
+    assert cli_main(["reduced", "--algebra", "4", "--ambient-weight", "1,0",
+                     "--q", "1.3"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["results"][0]["pairs"]
+    red = reduced_matrix_elements(canonical_vector_operator(lab(5, (2, 0)),
+                                                            CTX), CTX)
+    assert len(pairs) == len(red.entries)
+    assert set(pairs[0]) == {"m_target", "s_target", "m_source",
+                             "s_source", "re", "im", "residual"}
+
+
+def test_nan_matrix_element_fails_the_factorisation():
+    vop = canonical_vector_operator(lab(4, (4, 2)), CTX)
+    components = [c.copy() for c in vop.components]
+    components[0][0, 0] = np.nan
+    broken = VectorOperator(vop.n, vop.blocks, vop.gens, tuple(components))
+    with pytest.raises(FactorizationError):
+        reduced_matrix_elements(broken, CTX)
