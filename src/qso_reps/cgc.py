@@ -15,8 +15,9 @@ row as blocks (Gel'fand-Tsetlin restriction); the (source, target) block of
 every composite generator thus follows from one top-generator block by the
 q-commutator recursion (`aux_blocks`).  The aux-weight search
 (`admissible_aux`) computes each candidate's blocks once and hands them
-on; only the rank-n generators are cached.  The (target, source) blocks
-with the other sign give the primed inverse coefficients used by `wigner`.
+on; only the rank-n generators are cached, in the context.  The (target,
+source) blocks with the other sign give the primed inverse coefficients
+used by `wigner`.
 
 Each block's intertwiner is checked against the product-space generators
 applied slot by slot (`tensorprod.tensor_action`); no product-space matrix
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .qarith import (HalfInt, QContext, ValidationError, q_bracket,
 from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, GTPattern,
                       IrrepLabel, branch_rows, branching_set, covers,
                       enumerate_patterns, extend_pattern, l_coords, rows_above)
-from .reps import (GeneratorMatrix, RelationReport, build_all_generators,
-                   composite_chain, generator_block, max_entry,
-                   relation_residual)
+from .reps import (RelationReport, build_all_generators, composite_chain,
+                   generator_block, max_entry, relation_residual)
 from .tensorprod import tensor_action
 
 
@@ -78,6 +77,8 @@ def top_cgc(m_src: Row, m_tgt: Row, m_below: Row, level: int, kind: str,
     the target weight and the shared row below them.
 
     Returns 0 when the target is not a branch of the source, without raising.
+    A branch moves one entry by +-1, or keeps the weight: at odd levels, and
+    at even ones in the nonclassical "replaced" case (last entry 1/2).
     """
     if m_tgt not in branch_rows(m_src, level, kind):
         return 0j
@@ -86,21 +87,13 @@ def top_cgc(m_src: Row, m_tgt: Row, m_below: Row, level: int, kind: str,
     diff = [(i, m_tgt[i].twice - m_src[i].twice)
             for i in range(len(m_src)) if m_tgt[i] != m_src[i]]
     if not diff:
-        if level % 2 == 1:
-            bracket = q_bracket_plus if kind == NONCLASSICAL else q_bracket
-            value = 1.0
-            for lr in lbel:
-                value *= bracket(lr, ctx)
-            return complex(value)
-        if kind != NONCLASSICAL or m_src[-1] != HALF:
-            return 0j
+        odd = level % 2 == 1
+        bracket = q_bracket_plus if odd and kind == NONCLASSICAL else q_bracket
         value = 1.0
         for lr in lbel:
-            value *= q_bracket(lr - HALF, ctx)
+            value *= bracket(lr if odd else lr - HALF, ctx)
         return complex(value)
-    if len(diff) != 1 or abs(diff[0][1]) != 2:
-        return 0j
-    j, step = diff[0]
+    (j, step), = diff
     lj = lsrc[j]
     # raising reads [l+r][l-r], lowering shifts both arguments down by one;
     # at even levels the second argument sits one higher
@@ -157,11 +150,6 @@ def cgc_is_zero(k: "int | str", src: GTPattern, tgt: GTPattern, kind: str) -> bo
     return False
 
 
-@lru_cache(maxsize=64)
-def _cached_generators(label: IrrepLabel, ctx: QContext) -> tuple[GeneratorMatrix, ...]:
-    return tuple(build_all_generators(label, ctx))
-
-
 # how far the first auxiliary entry may exceed that of the source weight
 _AUX_MARGIN = 3
 
@@ -206,8 +194,8 @@ def aux_blocks(rows: IrrepLabel, cols: IrrepLabel, aux: IrrepLabel, sign: str,
     cols_ext = [extend_pattern(aux.m_top, p)
                 for p in enumerate_patterns(cols).patterns]
     return composite_chain(generator_block(aux, aux.n - 1, index, cols_ext, ctx),
-                           [g.mat for g in _cached_generators(rows, ctx)],
-                           [g.mat for g in _cached_generators(cols, ctx)],
+                           [g.mat for g in build_all_generators(rows, ctx)],
+                           [g.mat for g in build_all_generators(cols, ctx)],
                            sign, ctx)
 
 
@@ -395,7 +383,7 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
     none of them is formed as a matrix.
     """
     n = label.n
-    gens = _cached_generators(label, ctx)
+    gens = build_all_generators(label, ctx)
     out: dict[Row, Intertwiner] = {}
     for branch in branching_set(label.m_top, n, label.kind):
         m_tgt = branch.row
@@ -419,7 +407,7 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
                         f"{values[i, j]} vs {check[i, j]}")
         coeffs = _normalise(coeffs)
         matrix = _build_matrix(label, coeffs, ctx)
-        block_mats = _cached_generators(target_label, ctx)
+        block_mats = build_all_generators(target_label, ctx)
         residuals = []
         for k in range(1, n):
             lhs = tensor_action(gens[k - 1].mat, k, matrix, ctx)
@@ -442,9 +430,7 @@ def decomposition_rank(blocks: dict[Row, Intertwiner], ctx: QContext) -> int:
     """Numerical rank of the horizontally concatenated intertwiners."""
     stacked = np.hstack([it.matrix for it in blocks.values()])
     svals = np.linalg.svd(stacked, compute_uv=False)
-    if svals.size == 0:
-        return 0
-    return int(np.sum(svals > ctx.tol_rel * svals[0] * max(stacked.shape)))
+    return int(np.sum(svals > ctx.tol * svals[0] * max(stacked.shape)))
 
 
 def so3_cgc(l: HalfInt, l_target: HalfInt, kind: str,

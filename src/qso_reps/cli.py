@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 
 import numpy as np
@@ -21,8 +20,6 @@ from .cgc import (AuxSearchError, DecompositionError, assemble_decomposition,
                   decomposition_rank)
 from .wigner import (FactorizationError, canonical_vector_operator,
                      check_vector_operator, reduced_matrix_elements)
-
-_DEFAULT_TOL = 1e-9
 
 
 def _fmt(value) -> str:
@@ -146,13 +143,6 @@ def _label_from(args, *, kind_attr="kind", weight_attr="weight",
     return IrrepLabel(n if n is not None else args.algebra, kind, weight, eps)
 
 
-def _context(args, q: float) -> QContext:
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("QSO_REPS_TOL", _DEFAULT_TOL))
-    return QContext(q, tol_abs=tol, tol_rel=tol)
-
-
 def cmd_dim(args) -> int:
     label = _label_from(args)
     d = dimension(label)
@@ -166,7 +156,7 @@ def cmd_check(args) -> int:
     results, rows = [], []
     ok = True
     for q in _parse_qs(args.q):
-        ctx = _context(args, q)
+        ctx = QContext(q, args.tol)
         report = check_relations(build_all_generators(label, ctx), ctx)
         ok = ok and report.all_passed
         relations = [{"relation": e.relation, "residual": e.residual,
@@ -185,7 +175,7 @@ def cmd_decompose(args) -> int:
     n, d = label.n, dimension(label)
     results, rows = [], []
     for q in _parse_qs(args.q):
-        ctx = _context(args, q)
+        ctx = QContext(q, args.tol)
         blocks = assemble_decomposition(label, ctx)
         block_items = []
         for m_tgt, it in blocks.items():
@@ -203,6 +193,7 @@ def cmd_decompose(args) -> int:
                         "rank": decomposition_rank(blocks, ctx),
                         "dim_product": n * d,
                         "sum_rule_ok": sum(b["dim"] for b in block_items) == n * d})
+        del blocks  # this q's intertwiners go before the next q's are built
     _emit({"label": _label(label), "results": results}, rows, args)
     return 0
 
@@ -214,7 +205,7 @@ def cmd_reduced(args) -> int:
                           n=n + 1)
     results, rows = [], []
     for q in _parse_qs(args.q):
-        ctx = _context(args, q)
+        ctx = QContext(q, args.tol)
         vop = canonical_vector_operator(ambient, ctx)
         report = check_vector_operator(vop, ctx)
         if not report.all_passed:
@@ -230,24 +221,6 @@ def cmd_reduced(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_label: bool = True) -> None:
-    parser.add_argument("--algebra", type=int, required=True, metavar="N",
-                        help="rank n of the algebra")
-    if with_label:
-        parser.add_argument("--kind", choices=[CLASSICAL, NONCLASSICAL],
-                            default=CLASSICAL)
-        parser.add_argument("--weight", required=True, metavar="LIST",
-                            help="comma-separated entries, e.g. 1,0 or 3/2,1/2")
-        parser.add_argument("--eps", metavar="STR",
-                            help="sign string of length n-1, e.g. ++-")
-    parser.add_argument("--q", default="1.3,0.7", metavar="LIST",
-                        help="comma-separated evaluation points")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance (default 1e-9 or QSO_REPS_TOL)")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--out", metavar="PATH", help="write output to file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qso-reps",
@@ -255,25 +228,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "and reduced matrix elements for the q-deformed "
                     "orthogonal algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # option groups shared by the subcommands; `dim` evaluates nothing at q
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--algebra", type=int, required=True, metavar="N",
+                         help="rank n of the algebra")
+    label = argparse.ArgumentParser(add_help=False)
+    label.add_argument("--kind", choices=[CLASSICAL, NONCLASSICAL],
+                       default=CLASSICAL)
+    label.add_argument("--weight", required=True, metavar="LIST",
+                       help="comma-separated entries, e.g. 1,0 or 3/2,1/2")
+    label.add_argument("--eps", metavar="STR",
+                       help="sign string of length n-1, e.g. ++-")
+    at_q = argparse.ArgumentParser(add_help=False)
+    at_q.add_argument("--q", default="1.3,0.7", metavar="LIST",
+                      help="comma-separated evaluation points")
+    at_q.add_argument("--tol", type=float, default=QContext.tol,
+                      help=f"tolerance (default {QContext.tol:g})")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "csv"], default="json")
+    output.add_argument("--out", metavar="PATH", help="write output to file")
 
-    p_dim = sub.add_parser("dim", help="dimension and pattern count")
-    _add_common(p_dim)
-    p_dim.set_defaults(func=cmd_dim)
-
-    p_check = sub.add_parser("check", help="verify the defining relations")
-    _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_dec = sub.add_parser("decompose",
-                           help="tensor-product decomposition with coupling "
-                                "coefficients")
-    _add_common(p_dec)
-    p_dec.set_defaults(func=cmd_decompose)
-
+    sub.add_parser("dim", help="dimension and pattern count",
+                   parents=[algebra, label, output]).set_defaults(func=cmd_dim)
+    sub.add_parser("check", help="verify the defining relations",
+                   parents=[algebra, label, at_q, output]
+                   ).set_defaults(func=cmd_check)
+    sub.add_parser("decompose",
+                   help="tensor-product decomposition with coupling "
+                        "coefficients",
+                   parents=[algebra, label, at_q, output]
+                   ).set_defaults(func=cmd_decompose)
     p_red = sub.add_parser("reduced",
                            help="reduced matrix elements of the canonical "
-                                "vector operator of an ambient weight")
-    _add_common(p_red, with_label=False)
+                                "vector operator of an ambient weight",
+                           parents=[algebra, at_q, output])
     p_red.add_argument("--ambient-weight", required=True, metavar="LIST",
                        help="next-rank weight, length floor((n+1)/2)")
     p_red.add_argument("--ambient-kind", choices=[CLASSICAL, NONCLASSICAL],
@@ -314,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         # every check fails on NaN, so numpy's warnings add nothing
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

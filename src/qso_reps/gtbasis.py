@@ -89,7 +89,8 @@ def rows_below(upper: tuple[HalfInt, ...], upper_level: int,
 
 def rows_above(lower: tuple[HalfInt, ...], upper_level: int, kind: str,
                cap: HalfInt) -> list[tuple[HalfInt, ...]]:
-    """Rows at `upper_level` admissible above `lower`, first entry capped."""
+    """Rows at `upper_level` (at least 3) admissible above `lower`, first
+    entry capped."""
     p = row_size(upper_level)
     ranges: list[tuple[HalfInt, HalfInt]] = []
     if upper_level % 2 == 1:
@@ -105,11 +106,8 @@ def rows_above(lower: tuple[HalfInt, ...], upper_level: int, kind: str,
         # signed one
         for j in range(p - 1):
             ranges.append((lower[j], cap if j == 0 else lower[j - 1]))
-        if p == 1:
-            ranges.append((HALF if kind == NONCLASSICAL else -cap, cap))
-        else:
-            lo = HALF if kind == NONCLASSICAL else -lower[p - 2]
-            ranges.append((lo, lower[p - 2]))
+        lo = HALF if kind == NONCLASSICAL else -lower[p - 2]
+        ranges.append((lo, lower[p - 2]))
     choices = []
     for lo, hi in ranges:
         choices.append([HalfInt(t) for t in range(hi.twice, lo.twice - 1, -2)])

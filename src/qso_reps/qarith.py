@@ -9,7 +9,7 @@ is evaluated through a :class:`QContext`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 
@@ -106,27 +106,29 @@ def half(twice: int) -> HalfInt:
 
 @dataclass(frozen=True)
 class QContext:
-    """Evaluation point q and the tolerances all numeric checks run at.
+    """Evaluation point q, the tolerance all numeric checks run at, and the
+    values derived at q (`cache`), which live as long as the context.
 
     q must be a finite positive real different from 1; the bracket formulas
-    divide by q - 1/q.
+    divide by q - 1/q.  tol must be finite and positive.
     """
 
     q: float
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
+    tol: float = 1e-9
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.q < math.inf):
             raise ValidationError(f"q must be positive and finite, got {self.q}")
         if abs(self.q - 1.0) <= 1e-12:
             raise ValidationError("q must differ from 1")
-        if self.tol_abs <= 0.0 or self.tol_rel <= 0.0:
-            raise ValidationError("tolerances must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
 
     def tolerance(self, scale: float = 1.0) -> float:
         """Mixed absolute/relative tolerance for a quantity of given scale."""
-        return self.tol_abs + self.tol_rel * abs(scale)
+        return self.tol + self.tol * abs(scale)
 
 
 def q_power(a: HalfInt | int, ctx: QContext) -> float:

@@ -18,16 +18,17 @@ out exactly 0, which turns that boundary property into a runtime check.
 Every coefficient of generator k reads only the rows at levels k+1, k and
 k-1 of the tableau it acts on, and the eps signs of nonclassical labels
 enter only as a factor on the diagonal term.  The action of generator k on
-one tableau is therefore memoised on those three rows, the family and the
-`QContext`: a hit runs the same formulas on the same rows, so it returns
-bit-identical values, and the out-of-lattice check runs once per key.
+one tableau is therefore memoised on those three rows and the family: a hit
+runs the same formulas on the same rows, so it returns bit-identical values,
+and the out-of-lattice check runs once per key.  The memo and the generators
+of `build_all_generators` are values derived at q, so they live in the
+`QContext`'s cache and are freed with it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -168,24 +169,17 @@ def coeff_nonclassical(xi: GTPattern, j: int, level: int, which: str,
     return _coefficient(xi, j, level, which, ctx, plus=True)
 
 
-# Memo of `_column_action`, least recently used entry evicted first.  The
-# gated benchmark calls read 143 to 413 distinct keys each.
-_ACTION_MEMO_SIZE = 4096
-_action_memo: OrderedDict[tuple, tuple] = OrderedDict()
-
-
 def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
                    ctx: QContext) -> tuple[list[tuple[int, int, complex]],
                                            complex | float | None]:
     """Action of generator k on the column tableau xi: the in-lattice steps
     (j, step, signed coefficient) and the diagonal term without its eps sign
-    (None when there is none), memoised on the rows of xi at levels k+1, k
-    and k-1, the family and `ctx`."""
+    (None when there is none), memoised in `ctx.cache` on the rows of xi at
+    levels k+1, k and k-1 and the family."""
     i = xi.n - k - 1  # rows[i] is level k+1; levels below 2 do not exist
-    key = (label.kind, k, xi.rows[i:i + 3], ctx)
-    action = _action_memo.get(key)
+    key = (label.kind, k, xi.rows[i:i + 3])
+    action = ctx.cache.get(key)
     if action is not None:
-        _action_memo.move_to_end(key)
         return action
     # looked up here, not bound at import, so a rebound entry point is used
     classical = label.kind == CLASSICAL
@@ -214,9 +208,7 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
     elif truncate:
         diag = coeff(xi, 0, k, "D", ctx) / (
             q_power(HALF, ctx) - q_power(-HALF, ctx))
-    _action_memo[key] = action = (steps, diag)
-    if len(_action_memo) > _ACTION_MEMO_SIZE:
-        _action_memo.popitem(last=False)
+    ctx.cache[key] = action = (steps, diag)
     return action
 
 
@@ -256,7 +248,15 @@ def build_generator(label: IrrepLabel, k: int, ctx: QContext) -> GeneratorMatrix
 
 
 def build_all_generators(label: IrrepLabel, ctx: QContext) -> list[GeneratorMatrix]:
-    return [build_generator(label, k, ctx) for k in range(1, label.n)]
+    """Generators k = 1..n-1 of `label`, built once per context and kept in
+    `ctx.cache`; each call returns a new list of the same read-only arrays."""
+    gens = ctx.cache.get(label)
+    if gens is None:
+        gens = ctx.cache[label] = [build_generator(label, k, ctx)
+                                   for k in range(1, label.n)]
+        for g in gens:
+            g.mat.flags.writeable = False
+    return list(gens)
 
 
 def composite_chain(top: np.ndarray, row_gens: Sequence[np.ndarray],

@@ -13,8 +13,8 @@ The primed inverse coefficients of a block pair are the (target, source)
 blocks of the "+" composite generators of an auxiliary next-rank irrep,
 divided by one normalising ratio.  The aux-weight search
 `cgc.admissible_aux` hands on all n slots of that block, computed in one
-q-commutator pass without building the auxiliary irrep.  Only rank-n
-generators are cached; the ambient's are built once per q.
+q-commutator pass without building the auxiliary irrep.  Generators are
+cached in the context, so each label's are built once per q.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ import contextlib
 import hashlib
 import io
 import itertools
-import os
 import resource
 import traceback
 import warnings
@@ -134,6 +133,11 @@ def calls() -> list[list[str]]:
         ["dim", "--algebra", "4", "--weight", "1,0,9"],
         ["dim", "--algebra", "4", "--weight", "0,1"],
         ["dim", "--algebra", "1", "--weight", "1"],
+        ["decompose", "--algebra", "3", "--weight", "1", "--out",
+         "/nonexistent/dir/x"],
+        ["check", "--algebra", "3", "--weight", "1", "--tol", "nan"],
+        ["check", "--algebra", "3", "--weight", "1", "--tol", "inf"],
+        ["dim", "--algebra", "3", "--weight", "1", "--q", "abc"],
     ]
     return out
 
@@ -156,7 +160,6 @@ def _digest(text: str) -> str:
 
 
 if __name__ == "__main__":
-    os.environ.pop("QSO_REPS_TOL", None)
     limit = 4 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     warnings.simplefilter("always")

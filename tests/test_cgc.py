@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -210,14 +211,9 @@ def _dense_mu(source, m_tgt, top, aux_basis, aux, forward):
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_generators(aux):
-    return build_all_generators(aux, CTX)
-
-
-@functools.lru_cache(maxsize=None)
 def _dense_composite(aux, slot, sign):
     return composite_generator(aux, aux.n, slot, sign, CTX,
-                               _dense_generators(aux)).mat
+                               build_all_generators(aux, CTX)).mat
 
 
 @pytest.mark.parametrize("label", [
@@ -234,7 +230,7 @@ def test_aux_blocks_match_dense_auxiliary_irrep(label):
         for aux in aux_candidates(label, branch.row):
             if min(len(v) for v in picked.values()) >= 2:
                 break
-            base = _dense_generators(aux)
+            base = build_all_generators(aux, CTX)
             aux_basis = enumerate_patterns(aux)
             top = base[n - 1].mat
             for rows, cols in ((label, target), (target, label)):
@@ -532,3 +528,39 @@ def test_tables_at_q_and_inverse_q_differ_by_powers_of_q(label, q):
             assert np.all(np.abs(twice_e - np.round(twice_e)) <= 1e-9)
             phase = ratio / np.abs(ratio)
             assert all(min(abs(p - s) for s in phases) <= 1e-9 for p in phase)
+
+
+def test_selection_rule_violation_is_a_decomposition_error(monkeypatch):
+    # every raw element then lands on a slot the rules force to vanish
+    monkeypatch.setattr(qso_reps.cgc, "cgc_is_zero", lambda *args: True)
+    with pytest.raises(DecompositionError,
+                       match=r"slot 2 element .* breaks the selection rules "
+                             r"\(bound .*\)"):
+        assemble_decomposition(lab(3, (2,)), QContext(1.3))
+
+
+def test_intertwiner_residual_is_a_decomposition_error(monkeypatch):
+    real = qso_reps.cgc.tensor_action
+    monkeypatch.setattr(qso_reps.cgc, "tensor_action",
+                        lambda *args: real(*args) + 1.0)
+    with pytest.raises(DecompositionError,
+                       match=r"intertwiner residual .* for block .*, "
+                             r"generator 1 \(scale .*\)"):
+        assemble_decomposition(lab(3, (2,)), QContext(1.3))
+
+
+def test_aux_blocks_require_a_restricting_aux():
+    label = lab(3, (2,))
+    with pytest.raises(ValidationError, match="is not an auxiliary weight for"):
+        aux_blocks(label, label, lab(5, (2, 2)), "-", CTX)
+    with pytest.raises(AuxSearchError, match="does not admit"):
+        aux_blocks(label, label, lab(4, (6, 6)), "-", CTX)
+
+
+def test_context_cache_dies_with_context():
+    ctx = QContext(1.3)
+    assemble_decomposition(lab(4, (2, 0)), ctx)
+    assert ctx.cache
+    ref = weakref.ref(ctx)
+    del ctx
+    assert ref() is None

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qso_reps import GeneratorMatrix, SingularCoefficientError
+from qso_reps import GeneratorMatrix, RelationReport, SingularCoefficientError
+from qso_reps.reps import RelationResidual
 from qso_reps.cli import main
 
 
@@ -176,13 +177,6 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dim"] == 4
 
 
-def test_env_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("QSO_REPS_TOL", "1e-3")
-    code, out, _ = run(capsys, "check", "--algebra", "3", "--weight", "1",
-                       "--q", "1.3")
-    assert code == 0
-
-
 def test_float_format_17_digits(capsys):
     _, out, _ = run(capsys, "check", "--algebra", "3", "--weight", "1",
                     "--q", "1.3")
@@ -266,3 +260,63 @@ def test_memory_error_exits_two(capsys, monkeypatch):
                          "99999", "--q", "1e300")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_exits_two(capsys):
+    code, out, err = run(capsys, "decompose", "--algebra", "3", "--weight",
+                         "1", "--out", "/nonexistent/dir/x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "/nonexistent/dir/x" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_tol_must_be_finite_and_positive(capsys, tol):
+    code, out, err = run(capsys, "check", "--algebra", "3", "--weight", "1",
+                         "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must be positive and finite")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("option", ["--q", "--tol"])
+def test_dim_takes_no_q_or_tol(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--algebra", "3", "--weight", "1", option, "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} abc" in captured.err
+
+
+def test_tol_reaches_the_checks(capsys):
+    argv = ["check", "--algebra", "3", "--weight", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["passed"] is True
+    code, out, _ = run(capsys, *argv, "--tol", "1e-30")
+    assert code == 1 and json.loads(out)["passed"] is False
+
+
+def test_covariance_failure_in_reduced_exits_one(capsys, monkeypatch):
+    import qso_reps.cli as cli
+
+    failing = RelationReport((RelationResidual("raise(2)", 1.0, 1.0, False),))
+    monkeypatch.setattr(cli, "check_vector_operator", lambda vop, ctx: failing)
+    code, out, err = run(capsys, "reduced", "--algebra", "3",
+                         "--ambient-weight", "1,0", "--q", "1.3")
+    assert code == 1 and out == ""
+    assert err == ("numerical check failed: canonical operator failed "
+                   "covariance check at q=1.3: max residual 1.000e+00\n")
+
+
+def test_failed_intertwiner_in_decompose_exits_one(capsys, monkeypatch):
+    import qso_reps.cgc as cgc
+
+    real = cgc.tensor_action
+    monkeypatch.setattr(cgc, "tensor_action",
+                        lambda *args: real(*args) + 1.0)
+    code, out, err = run(capsys, "decompose", "--algebra", "3", "--weight",
+                         "1", "--q", "1.3")
+    assert code == 1 and out == ""
+    assert err.startswith("numerical check failed: intertwiner residual ")
+    assert len(err.splitlines()) == 1

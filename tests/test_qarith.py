@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,8 +37,9 @@ def test_qcontext_validation():
         QContext(-2.0)
     with pytest.raises(ValidationError):
         QContext(1.0)
-    with pytest.raises(ValidationError):
-        QContext(1.3, tol_abs=0.0)
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            QContext(1.3, tol)
 
 
 def test_bracket_values():
@@ -100,5 +103,5 @@ def test_bracket_symmetric_under_q_inversion():
 
 
 def test_tolerance_helper():
-    ctx = QContext(1.3, tol_abs=1e-9, tol_rel=1e-6)
-    assert ctx.tolerance(100.0) == pytest.approx(1e-9 + 1e-4)
+    ctx = QContext(1.3, tol=1e-6)
+    assert ctx.tolerance(100.0) == 1e-6 + 1e-6 * 100.0

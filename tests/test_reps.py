@@ -107,12 +107,12 @@ def test_small_brackets_survive_large_q():
 
 
 def test_relation_residual_passes_within_tolerance():
-    ctx = QContext(1.3, tol_abs=1.0, tol_rel=2.0)
+    ctx = QContext(1.3, tol=2.0)
     diff = np.array([[3.0, 4.0j]])
-    entry = relation_residual("r", diff, 2.0, ctx)  # tolerance 1 + 2 * 2
-    assert (entry.relation, entry.residual, entry.scale) == ("r", 5.0, 2.0)
+    entry = relation_residual("r", diff, 1.5, ctx)  # tolerance 2 + 2 * 1.5
+    assert (entry.relation, entry.residual, entry.scale) == ("r", 5.0, 1.5)
     assert entry.passed
-    assert not relation_residual("r", diff, 1.9, ctx).passed
+    assert not relation_residual("r", diff, 1.4, ctx).passed
 
 
 def test_relation_scale_has_no_floor():
@@ -308,8 +308,8 @@ def reference_generator(label, k, ctx):
 
 
 def test_memoised_generators_equal_plain_reference():
-    # the second q runs with the memo already holding entries of the first;
-    # each generator is built twice, so memo hits are compared as well
+    # each context starts with an empty memo; each generator is built
+    # twice, so memo hits are compared as well
     labels = [lab(5, (4, 2)), lab(6, (4, 2, 0)),
               lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
               lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))]
@@ -324,8 +324,8 @@ def test_memoised_generators_equal_plain_reference():
 
 @pytest.mark.parametrize("q", [1.37, 1.41])
 def test_memo_shared_across_eps_applies_each_sign(q):
-    # a fresh q per order, so the first label of each order fills the memo
-    # and the second reads it
+    # a fresh context per order, so the first label of each order fills
+    # the memo and the second reads it
     first = lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))
     second = lab(4, (3, 1), NONCLASSICAL, (-1, 1, -1))
     if q == 1.41:
@@ -342,16 +342,16 @@ def test_out_of_lattice_guard_survives_memo(monkeypatch):
 
     real = reps.coeff_classical
     # a leak far below any tolerance must still be caught: off the lattice
-    # the coefficients are exactly 0; each tol_abs is a context not used
-    # elsewhere, so the memo misses
-    for leak, tol_abs in ((1.0, 3e-9), (1e-12, 4e-9)):
+    # the coefficients are exactly 0; each leak runs in a fresh context, so
+    # the memo misses
+    for leak in (1.0, 1e-12):
         def leaky(xi, j, level, which, ctx, leak=leak):
             if xi.is_valid(CLASSICAL) and xi.replace(level, j, +1).is_valid(CLASSICAL):
                 return real(xi, j, level, which, ctx)
             return leak
 
         monkeypatch.setattr(reps, "coeff_classical", leaky)
-        ctx = QContext(1.3, tol_abs=tol_abs)
+        ctx = QContext(1.3)
         with pytest.raises(SingularCoefficientError, match=r"out-of-lattice step \|"):
             build_generator(lab(5, (4, 2)), 2, ctx)
 
@@ -368,7 +368,7 @@ def test_coefficients_evaluated_once_per_row_triple(monkeypatch):
 
     monkeypatch.setattr(reps, "coeff_classical", counting)
     label = lab(6, (4, 2, 0))
-    ctx = QContext(1.2345)  # not used elsewhere: every key is a miss
+    ctx = QContext(1.2345)  # a fresh context: every key is a miss
     build_all_generators(label, ctx)
     patterns = enumerate_patterns(label).patterns
     keys = {(k, xi.row(k + 1), xi.row(k) if k >= 2 else None,
@@ -390,3 +390,26 @@ def test_classical_generators_are_symmetric_in_q_and_inverse_q(label):
         at_inverse = build_all_generators(label, QContext(1 / q))
         for g, h in zip(at_q, at_inverse):
             assert np.abs(g.mat - h.mat).max() <= 1e-15 * np.abs(g.mat).max()
+
+
+def test_vanishing_denominator_is_singular(monkeypatch):
+    import qso_reps.reps as reps
+
+    # the diagonal C at level 1 has an empty denominator product
+    real = reps._product
+    monkeypatch.setattr(reps, "_product", lambda ctx, factors, plus=False:
+                        real(ctx, factors, plus) if factors else 0.0)
+    with pytest.raises(SingularCoefficientError,
+                       match=r"vanishing denominator bracket in C at .*: "
+                             r"factors \[\]"):
+        build_generator(lab(3, (2,)), 1, QContext(1.3))
+
+
+def test_vanishing_b_bracket_is_singular(monkeypatch):
+    import qso_reps.reps as reps
+
+    monkeypatch.setattr(reps, "_hat_squared", lambda *args: 1.0)
+    monkeypatch.setattr(reps, "_product", lambda *args: 0.0)
+    with pytest.raises(SingularCoefficientError,
+                       match=r"vanishing bracket \[.*\] or \[2l\+-1\] in B\^1 at "):
+        build_generator(lab(4, (1, 1)), 3, QContext(1.3))

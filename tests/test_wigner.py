@@ -261,3 +261,16 @@ def test_nan_matrix_element_fails_the_factorisation():
     broken = VectorOperator(vop.n, vop.blocks, vop.gens, tuple(components))
     with pytest.raises(FactorizationError):
         reduced_matrix_elements(broken, CTX)
+
+
+def test_vanishing_inverse_coefficients_are_a_factorization_error(monkeypatch):
+    import qso_reps.wigner as wigner
+
+    real = wigner._inverse_blocks
+    monkeypatch.setattr(wigner, "_inverse_blocks", lambda *args: {
+        k: 0.0 * block for k, block in real(*args).items()})
+    ctx = QContext(1.3)
+    vop = canonical_vector_operator(lab(4, (2, 0)), ctx)
+    with pytest.raises(FactorizationError,
+                       match="all inverse coefficients vanish on pair"):
+        reduced_matrix_elements(vop, ctx)
