@@ -6,9 +6,8 @@ Clebsch-Gordan decomposition, and reduced matrix elements of vector
 operators.
 """
 
-from .qarith import (HalfInt, QContext, ValidationError,
-                     SingularCoefficientError, half, q_bracket,
-                     q_bracket_plus, q_power)
+from .qarith import (HalfInt, QContext, SingularCoefficientError,
+                     ValidationError, q_bracket, q_bracket_plus, q_power)
 from .gtbasis import (CLASSICAL, NONCLASSICAL, BasisIndex, BranchTarget,
                       GTPattern, IrrepLabel, branching_set, dimension,
                       enumerate_patterns, l_coords)
@@ -25,7 +24,7 @@ from .wigner import (ReducedElements, VectorOperator, canonical_vector_operator,
 
 __all__ = [
     "HalfInt", "QContext", "ValidationError", "SingularCoefficientError",
-    "half", "q_bracket", "q_bracket_plus", "q_power",
+    "q_bracket", "q_bracket_plus", "q_power",
     "CLASSICAL", "NONCLASSICAL", "BasisIndex", "BranchTarget", "GTPattern",
     "IrrepLabel", "branching_set", "dimension", "enumerate_patterns",
     "l_coords",

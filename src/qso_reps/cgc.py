@@ -14,10 +14,10 @@ level-n row, so they are block-diagonal with the rank-n generators of that
 row as blocks (Gel'fand-Tsetlin restriction); the (source, target) block of
 every composite generator thus follows from one top-generator block by the
 q-commutator recursion (`aux_blocks`).  The aux-weight search
-(`admissible_aux`) computes each candidate's blocks once and hands them
-on; only the rank-n generators are cached, in the context.  The (target,
-source) blocks with the other sign give the primed inverse coefficients
-used by `wigner`.
+(`admissible_aux`) evaluates the closed form once per block pair and each
+candidate's blocks once, and hands both on; only the rank-n generators are
+cached, in the context.  The (target, source) blocks with the other sign
+give the primed inverse coefficients used by `wigner`.
 
 Each block's intertwiner is checked against the product-space generators
 applied slot by slot (`tensorprod.tensor_action`); no product-space matrix
@@ -50,6 +50,7 @@ class DecompositionError(RuntimeError):
 
 
 Row = tuple[HalfInt, ...]
+UsableAux = list[tuple[IrrepLabel, complex, dict[int, np.ndarray]]]
 
 
 def so2_coupled_vectors(m: HalfInt, kind: str, eps2: int,
@@ -163,9 +164,7 @@ def aux_candidates(label: IrrepLabel, m_tgt: Row) -> list[IrrepLabel]:
             if covers(u, m_tgt, n + 1, kind)]
     rows.sort(key=lambda u: (sum(e.twice for e in u),
                              tuple(e.twice for e in u)))
-    eps = None
-    if kind == NONCLASSICAL:
-        eps = label.eps + (1,)
+    eps = label.eps + (1,) if kind == NONCLASSICAL else None
     return [IrrepLabel(n + 1, kind, u, eps) for u in rows]
 
 
@@ -216,22 +215,22 @@ def _block_mu(closed: np.ndarray, top: np.ndarray,
 
 
 def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
-                   want: int = 1, aux: IrrepLabel | None = None,
-                   ) -> list[tuple[IrrepLabel, complex, dict[int, np.ndarray]]]:
-    """Up to `want` usable auxiliary weights for the block pair source ->
-    m_tgt, in candidate order, each with its normalising ratio and its
-    `aux_blocks`; callers take the blocks from here.
+                   want: int = 1) -> tuple[np.ndarray, UsableAux]:
+    """The closed-form slot-n table `top_table` of the block pair source ->
+    m_tgt, and up to `want` usable auxiliary weights for it, in candidate
+    order, each with its normalising ratio and its `aux_blocks`; callers
+    take the table and the blocks from here.
 
     `forward` selects the orientation: (source, target) rows and columns
     with sign "-" for coupling coefficients, (target, source) with "+" for
-    primed inverse ones.  A given `aux` is checked and used alone.
+    primed inverse ones.
     """
     target = source.with_weight(m_tgt)
     rows, cols, sign = ((source, target, "-") if forward
                         else (target, source, "+"))
     closed = top_table(source, target, ctx)
-    found: list[tuple[IrrepLabel, complex, dict[int, np.ndarray]]] = []
-    tried = [aux] if aux is not None else aux_candidates(source, m_tgt)
+    found: UsableAux = []
+    tried = aux_candidates(source, m_tgt)
     for candidate in tried:
         blocks = aux_blocks(rows, cols, candidate, sign, ctx)
         mu = _block_mu(closed, blocks[source.n], forward)
@@ -244,7 +243,7 @@ def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
         raise AuxSearchError(
             f"no usable auxiliary weight for {what} coefficients {source} -> "
             f"{m_tgt}; tried " + ", ".join(repr(a) for a in tried))
-    return found
+    return closed, found
 
 
 def _slot_tables(blocks: dict[int, np.ndarray], mu: complex,
@@ -257,25 +256,23 @@ def _slot_tables(blocks: dict[int, np.ndarray], mu: complex,
 
 
 def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
-                eps: tuple[int, ...] | None, ctx: QContext,
-                aux: IrrepLabel | None = None) -> complex:
+                eps: tuple[int, ...] | None, ctx: QContext) -> complex:
     """One Clebsch-Gordan coefficient for vector slot k (an int 3..n, or one
-    of "+"/"-"), target tableau against source tableau.
-
-    When no auxiliary label is supplied the first admissible one is used;
-    the value does not depend on the choice.
+    of "+"/"-"), target tableau against source tableau, read from the table
+    of the first admissible auxiliary weight (the value does not depend on
+    the choice); slot n is the closed form.
     """
     n = src.n
     label = IrrepLabel(n, kind, src.row(n), eps)
     if cgc_is_zero(k, src, tgt, kind):
         return 0j
-    m_tgt = tgt.row(n)
-    (_, mu, blocks), = admissible_aux(label, m_tgt, True, ctx, aux=aux)
+    closed, ((_, mu, blocks),) = admissible_aux(label, tgt.row(n), True, ctx)
+    i = enumerate_patterns(label).position(src)
+    j = enumerate_patterns(label.with_weight(tgt.row(n))).position(tgt)
     if k == n:
-        return top_cgc(label.m_top, m_tgt, src.row(n - 1), n, kind, ctx)
+        return closed[i, j]
     _, values = _slot_tables(blocks, mu, ctx)[2 if k in ("+", "-") else k]
-    return values[enumerate_patterns(label).position(src),
-                  enumerate_patterns(label.with_weight(m_tgt)).position(tgt)]
+    return values[i, j]
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,6 @@ class CGCTable:
 
     source: IrrepLabel
     target: IrrepLabel
-    aux: IrrepLabel
     replaced: bool
     slots: dict["int | str", np.ndarray]
 
@@ -314,13 +310,13 @@ class Intertwiner:
     table: CGCTable
 
 
-def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
+def _compute_block_table(label: IrrepLabel, target: IrrepLabel, closed, slots,
                          ctx: QContext) -> dict["int | str", np.ndarray]:
     """Unnormalised source x target coefficient arrays of one target block,
     one per slot "+", "-", 3..n.  At the nonzero block entries of slots
     below n the selection rules split slot 2 into "+" and "-", and every
     entry they force to vanish must be negligible against its block (NaN
-    never is).  Slot n is the closed form, `top_table`."""
+    never is).  Slot n is the closed form `closed`, from `top_table`."""
     n, kind = label.n, label.kind
     src, tgt = (enumerate_patterns(label).patterns,
                 enumerate_patterns(target).patterns)
@@ -339,7 +335,7 @@ def _compute_block_table(label: IrrepLabel, target: IrrepLabel, slots,
                     f"{src[i]} -> {tgt[j]} breaks the selection rules "
                     f"(bound {bound:.3e})")
     if n > 2:
-        table[n] = top_table(label, target, ctx)
+        table[n] = closed
     return table
 
 
@@ -388,10 +384,10 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
     for branch in branching_set(label.m_top, n, label.kind):
         m_tgt = branch.row
         target_label = label.with_weight(m_tgt)
-        scales = admissible_aux(label, m_tgt, True, ctx, want=2)
+        closed, scales = admissible_aux(label, m_tgt, True, ctx, want=2)
         aux, mu, blocks = scales[0]
         slots = _slot_tables(blocks, mu, ctx)
-        coeffs = _compute_block_table(label, target_label, slots, ctx)
+        coeffs = _compute_block_table(label, target_label, closed, slots, ctx)
         if len(scales) > 1:
             aux2, mu2, blocks2 = scales[1]
             other = _slot_tables(blocks2, mu2, ctx)
@@ -419,8 +415,7 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
                     f"intertwiner residual {entry.residual:.3e} for block "
                     f"{m_tgt}, generator {k} (scale {entry.scale:.3e})")
             residuals.append(entry)
-        table = CGCTable(label, target_label, aux, branch.tag == "replaced",
-                         coeffs)
+        table = CGCTable(label, target_label, branch.tag == "replaced", coeffs)
         out[m_tgt] = Intertwiner(target_label, matrix,
                                  RelationReport(tuple(residuals)), table)
     return out

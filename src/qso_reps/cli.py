@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import os
 import sys
 
 import numpy as np
@@ -98,8 +100,7 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
         if rows:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow([_scalar(v) for v in row.values()])
+            writer.writerows([_scalar(v) for v in row.values()] for row in rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -294,11 +295,23 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_out(path: str) -> None:
+    """Raise what `open(path, "w")` would for a missing or unwritable
+    directory, without touching the file, so a bad `--out` fails first."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(
         _attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
+        if args.out:
+            _check_out(args.out)
         # every check fails on NaN, so numpy's warnings add nothing
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -99,11 +99,6 @@ class HalfInt:
         return f"{self.twice}/2"
 
 
-def half(twice: int) -> HalfInt:
-    """Shorthand for ``HalfInt(twice)`` (argument is the doubled value)."""
-    return HalfInt(twice)
-
-
 @dataclass(frozen=True)
 class QContext:
     """Evaluation point q, the tolerance all numeric checks run at, and the
@@ -126,7 +121,7 @@ class QContext:
         if not (0.0 < self.tol < math.inf):
             raise ValidationError(f"tol must be positive and finite, got {self.tol}")
 
-    def tolerance(self, scale: float = 1.0) -> float:
+    def tolerance(self, scale: float) -> float:
         """Mixed absolute/relative tolerance for a quantity of given scale."""
         return self.tol + self.tol * abs(scale)
 

@@ -260,35 +260,33 @@ def build_all_generators(label: IrrepLabel, ctx: QContext) -> list[GeneratorMatr
 
 
 def composite_chain(top: np.ndarray, row_gens: Sequence[np.ndarray],
-                    col_gens: Sequence[np.ndarray], sign: str, ctx: QContext,
-                    stop: int = 1) -> dict[int, np.ndarray]:
+                    col_gens: Sequence[np.ndarray], sign: str,
+                    ctx: QContext) -> dict[int, np.ndarray]:
     """Downward q-commutator recursion run on one block: `top` is the block
     of generator m = len(row_gens) + 1, row_gens[lv - 1] and col_gens[lv - 1]
     are generator lv on the row and column spaces, and entry l of the result
-    (m down to `stop`) is the block of I^sign(m+1, l)."""
+    (m down to 1) is the block of I^sign(m+1, l)."""
     s = +0.5 if sign == "+" else -0.5
     qs, qsi = ctx.q ** s, ctx.q ** (-s)
     current = top
     out = {len(row_gens) + 1: current}
-    for lv in range(len(row_gens), stop - 1, -1):
+    for lv in range(len(row_gens), 0, -1):
         current = qs * (row_gens[lv - 1] @ current) - qsi * (current @ col_gens[lv - 1])
         out[lv] = current
     return out
 
 
 def composite_generator(label: IrrepLabel, k: int, l: int, sign: str,
-                        ctx: QContext,
-                        base: list[GeneratorMatrix] | None = None) -> GeneratorMatrix:
+                        ctx: QContext) -> GeneratorMatrix:
     """Composite generator bridging indices k > l, built by the downward
-    q-commutator recursion from the plain generator chain."""
+    q-commutator recursion from the plain generators of `label`."""
     if sign not in ("+", "-"):
         raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
     if not (label.n >= k > l >= 1):
         raise ValidationError(f"need n >= k > l >= 1, got k={k}, l={l}")
-    if base is None:
-        base = build_all_generators(label, ctx)
+    base = build_all_generators(label, ctx)
     low = [g.mat for g in base[:k - 2]]
-    chain = composite_chain(base[k - 2].mat, low, low, sign, ctx, stop=l)
+    chain = composite_chain(base[k - 2].mat, low, low, sign, ctx)
     return GeneratorMatrix(label, f"I{sign}({k},{l})", chain[l])
 
 

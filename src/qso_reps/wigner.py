@@ -150,26 +150,25 @@ def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
     return VectorOperator(a.n, tuple(blocks), gens, comps)
 
 
-def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row, ctx: QContext,
-                    aux: IrrepLabel | None = None) -> dict[int, np.ndarray]:
+def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row,
+                    ctx: QContext) -> dict[int, np.ndarray]:
     """Primed inverse coefficients of every slot 1..n for one (target,
     source) weight pair: slot k maps to a target x source array."""
-    (_, mu, blocks), = admissible_aux(src_label, m_tgt, False, ctx, aux=aux)
+    _, ((_, mu, blocks),) = admissible_aux(src_label, m_tgt, False, ctx)
     return {k: block / mu for k, block in blocks.items()}
 
 
 def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,
-                       eps: tuple[int, ...] | None, ctx: QContext,
-                       aux: IrrepLabel | None = None) -> complex:
+                       eps: tuple[int, ...] | None, ctx: QContext) -> complex:
     """Primed inverse coupling coefficient of vector slot k (1..n) between a
-    target tableau and a source tableau; independent of the admissible
-    auxiliary weight used."""
+    target tableau and a source tableau, from the first admissible
+    auxiliary weight; the value does not depend on the choice."""
     n = src.n
     src_label = IrrepLabel(n, kind, src.row(n), eps)
     m_tgt = tgt.row(n)
     if m_tgt not in branch_rows(src.row(n), n, kind):
         return 0j
-    table = _inverse_blocks(src_label, m_tgt, ctx, aux)[k]
+    table = _inverse_blocks(src_label, m_tgt, ctx)[k]
     return table[enumerate_patterns(src_label.with_weight(m_tgt)).position(tgt),
                  enumerate_patterns(src_label).position(src)]
 

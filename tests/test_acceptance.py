@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py -v` to see the verdict lines.
 """
 
 import os
-import random
 import subprocess
 import sys
 import time
@@ -18,9 +17,9 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       canonical_vector_operator, check_relations,
                       check_vector_operator, dimension, embedding_check,
                       enumerate_patterns, q_bracket, q_bracket_plus,
-                      recurse_cgc, reduced_matrix_elements, so3_cgc,
+                      reduced_matrix_elements, so3_cgc,
                       tensor_rep)
-from qso_reps.cgc import aux_candidates, decomposition_rank
+from qso_reps.cgc import admissible_aux, decomposition_rank
 
 from oracles import classical_limit_generator
 
@@ -201,43 +200,28 @@ def test_criterion_5_rank3_consistency():
 
 
 def test_criterion_6_auxiliary_independence():
-    rng = random.Random(20260810)
     ctx = QContext(1.3)
     labels = [lb for lb in SUITE if lb.n in (4, 5)]
     samples = 0
     violations = []
     worst = 0.0
     for label in labels:
-        basis = enumerate_patterns(label)
         for branch in branching_set(label.m_top, label.n, label.kind):
-            auxes = []
-            for aux in aux_candidates(label, branch.row):
-                auxes.append(aux)
-                if len(auxes) >= 3:
-                    break
-            if len(auxes) < 2:
+            # the first two usable auxiliary weights: every slot's block over
+            # its normalising ratio, slot n included
+            _, found = admissible_aux(label, branch.row, True, ctx, want=2)
+            if len(found) < 2:
                 continue
-            tgt_basis = enumerate_patterns(label.with_weight(branch.row))
-            found = 0
-            for _ in range(40):
-                if found >= 2:
-                    break
-                k = rng.choice(["+", "-"] + list(range(3, label.n + 1)))
-                src = rng.choice(basis.patterns)
-                tgt = rng.choice(tgt_basis.patterns)
-                try:
-                    v1 = recurse_cgc(k, tgt, src, label.kind, label.eps, ctx,
-                                     aux=auxes[0])
-                    v2 = recurse_cgc(k, tgt, src, label.kind, label.eps, ctx,
-                                     aux=auxes[1])
-                except Exception:
+            (_, mu1, blocks1), (_, mu2, blocks2) = found
+            for k in blocks1:
+                v1, v2 = blocks1[k] / mu1, blocks2[k] / mu2
+                size = np.maximum(np.abs(v1), np.abs(v2))
+                live = size >= 1e-9
+                if not live.any():
                     continue
-                if abs(v1) < 1e-9 and abs(v2) < 1e-9:
-                    continue
-                rel = abs(v1 - v2) / max(abs(v1), abs(v2))
+                rel = float((np.abs(v1 - v2)[live] / size[live]).max())
                 worst = max(worst, rel)
-                samples += 1
-                found += 1
+                samples += int(live.sum())
                 if rel > 1e-8:
                     violations.append((repr(label), branch.row, k, rel))
     if samples < 20:

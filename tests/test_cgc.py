@@ -18,9 +18,10 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GTPattern, HalfInt, IrrepLabel,
                       composite_generator, dimension, enumerate_patterns,
                       q_bracket, recurse_cgc, reduced_matrix_elements,
                       so2_coupled_vectors, so3_cgc, tensor_rep, top_cgc)
-from qso_reps.cgc import (AuxSearchError, DecompositionError, admissible_aux,
-                          aux_blocks, aux_candidates, cgc_is_zero,
-                          decomposition_rank, top_table)
+from qso_reps.cgc import (AuxSearchError, DecompositionError, _block_mu,
+                          _slot_tables, admissible_aux, aux_blocks,
+                          aux_candidates, cgc_is_zero, decomposition_rank,
+                          top_table)
 from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import covers, rows_below, weight_is_dominant
 
@@ -83,13 +84,13 @@ def test_top_cgc_invalid_step_returns_zero():
     assert top_cgc((H(4), H(0)), (H(4), H(0)), (H(2),), 4, CLASSICAL, CTX) == 0
 
 
-def _general_so3_entry(label, lt, k, src_m, tgt_m, ctx, aux=None):
+def _general_so3_entry(label, lt, k, src_m, tgt_m, ctx):
     basis = enumerate_patterns(label)
     src = next(p for p in basis.patterns if p.m12 == src_m)
     tgt_label = label.with_weight((lt,))
     tgt = next(p for p in enumerate_patterns(tgt_label).patterns
                if p.m12 == tgt_m)
-    return recurse_cgc(k, tgt, src, label.kind, label.eps, ctx, aux)
+    return recurse_cgc(k, tgt, src, label.kind, label.eps, ctx)
 
 
 @pytest.mark.parametrize("twice_l", [2, 4])
@@ -130,18 +131,55 @@ def test_recursion_reproduces_nonclassical_tables(eps):
                 assert got == pytest.approx(beta, abs=1e-10)
 
 
+# labels of both families, rank 3..5, and the q values of the aux-weight tests
+AUX_LABELS = [
+    lab(3, (2,)), lab(3, (4,)), lab(4, (2, 0)), lab(4, (3, 1)), lab(4, (2, 2)),
+    lab(5, (2, 0)), lab(5, (4, 2)),
+    lab(3, (1,), NONCLASSICAL, (1, 1)), lab(3, (3,), NONCLASSICAL, (1, -1)),
+    lab(4, (1, 1), NONCLASSICAL, (1, 1, 1)),
+    lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+    lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1)),
+]
+AUX_QS = (1.3, 0.7, 2.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _usable_aux(label, m_tgt, forward, q):
+    """Closed form and up to three usable auxiliary weights of one block
+    pair at q, as `admissible_aux` gives them."""
+    return admissible_aux(label, m_tgt, forward, QContext(q), want=3)
+
+
+def _aux_block_pairs():
+    for q in AUX_QS:
+        for label in AUX_LABELS:
+            for branch in branching_set(label.m_top, label.n, label.kind):
+                yield q, label, branch.row
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_aux_top_block_is_mu_times_closed_form(forward):
+    # the factorisation that makes the auxiliary weight internal: every
+    # usable weight's top-generator block is its normalising ratio times the
+    # closed-form slot n (transposed for the primed inverse orientation)
+    for q, label, m_tgt in _aux_block_pairs():
+        closed, found = _usable_aux(label, m_tgt, forward, q)
+        assert len(found) >= 2, (label, m_tgt, q)
+        want = closed if forward else closed.T
+        bound = 1e-15 * float(np.abs(closed).max())
+        for aux, mu, blocks in found:
+            assert np.abs(blocks[label.n] / mu - want).max() <= bound, aux
+
+
 def test_recursion_aux_independence():
-    label = lab(3, (4,))
-    auxes = [a for a in aux_candidates(label, (H(4),))][:4]
-    values = []
-    for aux in auxes:
-        try:
-            values.append(_general_so3_entry(label, H(4), "+", H(0), H(2),
-                                             CTX, aux))
-        except AuxSearchError:
-            continue
-    assert len(values) >= 2
-    assert max(abs(v - values[0]) for v in values) <= 1e-10
+    # every usable auxiliary weight gives the same coupling tables
+    for q, label, m_tgt in _aux_block_pairs():
+        ctx = QContext(q)
+        _, ((_, mu, blocks), *others) = _usable_aux(label, m_tgt, True, q)
+        ref = _slot_tables(blocks, mu, ctx)
+        for _, mu2, blocks2 in others:
+            for slot, (_, values) in _slot_tables(blocks2, mu2, ctx).items():
+                assert np.abs(values - ref[slot][1]).max() <= 1e-10
 
 
 def test_recursion_zero_conditions():
@@ -162,7 +200,7 @@ def test_selection_rules_match_matrix_support():
     src_basis = enumerate_patterns(label)
     for branch in branching_set(label.m_top, 4, CLASSICAL):
         target = label.with_weight(branch.row)
-        (_, _, blocks), = admissible_aux(label, branch.row, True, CTX)
+        _, ((_, _, blocks),) = admissible_aux(label, branch.row, True, CTX)
         tgt_basis = enumerate_patterns(target)
         for k in ("+", "-", 3, 4):
             mat = blocks[2 if k in ("+", "-") else k]
@@ -212,8 +250,7 @@ def _dense_mu(source, m_tgt, top, aux_basis, aux, forward):
 
 @functools.lru_cache(maxsize=None)
 def _dense_composite(aux, slot, sign):
-    return composite_generator(aux, aux.n, slot, sign, CTX,
-                               build_all_generators(aux, CTX)).mat
+    return composite_generator(aux, aux.n, slot, sign, CTX).mat
 
 
 @pytest.mark.parametrize("label", [
@@ -252,8 +289,8 @@ def test_aux_blocks_match_dense_auxiliary_irrep(label):
                     picked[forward].append(aux)
         for forward, dense_pick in picked.items():
             assert dense_pick, (label, branch.row, forward)
-            got = [a for a, _, _ in admissible_aux(label, branch.row, forward,
-                                                   CTX, want=2)]
+            _, found = admissible_aux(label, branch.row, forward, CTX, want=2)
+            got = [a for a, _, _ in found]
             assert got == dense_pick[:2]
 
 
@@ -360,15 +397,34 @@ def test_cgc_table_json(capsys):
     assert set(term) == {"k", "source_pattern", "re", "im"}
 
 
-def test_recurse_cgc_rejects_unusable_aux():
+def test_unusable_aux_has_no_normalising_ratio():
     label = lab(3, (2,))
-    # this auxiliary weight cannot normalise the middle target block
-    bad = IrrepLabel(4, CLASSICAL, (H(4), H(0)))
-    basis = enumerate_patterns(label)
-    tgt = next(p for p in enumerate_patterns(label).patterns if p.m12 == H(2))
-    src = next(p for p in basis.patterns if p.m12 == H(0))
-    with pytest.raises(AuxSearchError):
-        recurse_cgc("+", tgt, src, CLASSICAL, None, CTX, aux=bad)
+    target = label.with_weight((H(2),))
+    closed = top_table(label, target, CTX)
+    # these auxiliary weights cannot normalise the middle target block
+    for bad in (lab(4, (2, 0)), lab(4, (4, 0))):
+        blocks = aux_blocks(label, target, bad, "-", CTX)
+        assert _block_mu(closed, blocks[3], True) is None
+    # so the search passes over so4(1,0) between usable candidates
+    _, found = admissible_aux(label, target.m_top, True, CTX, want=3)
+    assert [aux for aux, _, _ in found] == [
+        lab(4, (2, -2)), lab(4, (4, -2)), lab(4, (2, 2))]
+
+
+def test_top_table_is_evaluated_once_per_block_pair(monkeypatch):
+    calls = []
+    real = qso_reps.cgc.top_table
+
+    def spy(source, target, ctx):
+        calls.append((source, target))
+        return real(source, target, ctx)
+
+    monkeypatch.setattr(qso_reps.cgc, "top_table", spy)
+    for label in (lab(5, (4, 2)), lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
+        calls.clear()
+        blocks = assemble_decomposition(label, CTX)
+        assert sorted(calls, key=repr) == sorted(
+            ((label, it.target) for it in blocks.values()), key=repr)
 
 
 def _per_term_matrix(label, entries, ctx):

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qso_reps import GeneratorMatrix, RelationReport, SingularCoefficientError
+from qso_reps import (GeneratorMatrix, HalfInt, RelationReport,
+                      SingularCoefficientError, dimension)
 from qso_reps.reps import RelationResidual
-from qso_reps.cli import main
+from qso_reps.cli import _attach_dash_values, _label_from, build_parser, main
 
 
 def run(capsys, *argv):
@@ -270,6 +274,46 @@ def test_unwritable_out_exits_two(capsys):
     assert "/nonexistent/dir/x" in err
 
 
+@pytest.mark.parametrize("missing", [False, True])
+def test_unwritable_out_exits_two_before_any_work(capsys, monkeypatch,
+                                                  tmp_path, missing):
+    import qso_reps.cli as cli
+
+    def refuse(label, ctx):
+        raise AssertionError("decomposed before checking --out")
+
+    monkeypatch.setattr(cli, "assemble_decomposition", refuse)
+    out_path = tmp_path / "x"
+    if missing:
+        out_path = tmp_path / "missing" / "x"
+    else:  # a directory that cannot be written
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, "decompose", "--algebra", "3", "--weight",
+                         "1", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == "error: " + str(
+        FileNotFoundError(2, "No such file or directory", str(out_path))
+        if missing else
+        PermissionError(13, "Permission denied", str(out_path))) + "\n"
+    assert not out_path.exists()
+
+
+def test_out_is_untouched_when_a_check_fails(capsys, monkeypatch, tmp_path):
+    import qso_reps.cli as cli
+    from qso_reps.cgc import DecompositionError
+
+    def fail(label, ctx):
+        raise DecompositionError("intertwiner residual")
+
+    monkeypatch.setattr(cli, "assemble_decomposition", fail)
+    out_path = tmp_path / "kept.json"
+    out_path.write_text("earlier output")
+    code, out, _ = run(capsys, "decompose", "--algebra", "3", "--weight", "1",
+                       "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert out_path.read_text() == "earlier output"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_tol_must_be_finite_and_positive(capsys, tol):
     code, out, err = run(capsys, "check", "--algebra", "3", "--weight", "1",
@@ -320,3 +364,95 @@ def test_failed_intertwiner_in_decompose_exits_one(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("numerical check failed: intertwiner residual ")
     assert len(err.splitlines()) == 1
+
+
+# malformed and extreme command lines for the exit-code contract
+_JUNK = st.sampled_from(
+    [str(i) for i in range(-3, 4)] + [f"{i}/2" for i in range(-5, 6, 2)]
+    + ["", "x", "1/3", "1.5", "--", "+1", " 1", "1/2/2", "9" * 30])
+_BAD_SIGNS = st.one_of(st.none(), st.text("+-", max_size=9),
+                       st.sampled_from(["--", "+x-", "++ ", "0"]))
+_GOOD_QS = st.sampled_from(["1e300", "1e-300", "1e-6", "1.3"])
+_BAD_QS = st.sampled_from(["0", "1", "-2", "inf", "-inf", "nan", "", "abc"])
+_BAD_TOLS = st.sampled_from(["0", "-1", "nan", "inf", "", "abc"])
+
+
+@st.composite
+def _argv(draw):
+    """A command line whose parts are each malformed with probability 1/8,
+    so that about half name a label and run."""
+    def bad():
+        return draw(st.integers(0, 7)) == 0
+
+    command = draw(st.sampled_from(["dim", "check", "decompose", "reduced"]))
+    n = draw(st.integers(0, 8))
+    rank = n + 1 if command == "reduced" else n
+    prefix = "--ambient-" if command == "reduced" else "--"
+    kind = draw(st.sampled_from(["classical", "nonclassical"]))
+    if bad():
+        weight = ",".join(draw(st.lists(_JUNK, min_size=1, max_size=4)))
+    else:
+        # rank // 2 decreasing entries of one parity (half-integers for the
+        # nonclassical family), the last one sometimes negated
+        odd = 1 if kind == "nonclassical" else draw(st.integers(0, 1))
+        size = max(rank // 2, 1)
+        twice = sorted((2 * t + odd for t in draw(st.lists(
+            st.integers(0, max(7 - rank, 0)),
+            min_size=size, max_size=size))), reverse=True)
+        if bad():
+            twice[-1] = -twice[-1]
+        weight = ",".join(str(HalfInt(t)) for t in twice)
+    argv = [command, "--algebra", str(n), prefix + "weight", weight]
+    if not bad():
+        argv += [prefix + "kind", kind]
+    elif draw(st.booleans()):
+        argv += [prefix + "kind", "other"]
+    signs = draw(_BAD_SIGNS if bad() else st.text(
+        "+-", min_size=max(rank - 1, 0), max_size=max(rank - 1, 0)))
+    if signs is not None:
+        argv += ([prefix + "eps=" + signs] if draw(st.booleans())
+                 else [prefix + "eps", signs])
+    if command != "dim":
+        if not bad():
+            qs = [draw(_BAD_QS if bad() else _GOOD_QS)
+                  for _ in range(draw(st.integers(1, 2)))]
+            argv += ["--q", ",".join(qs)]
+        if bad():
+            argv += ["--tol", draw(_BAD_TOLS)]
+    if bad():
+        argv += ["--format", draw(st.sampled_from(["csv", "xml", ""]))]
+    return argv
+
+
+def _label_size(argv):
+    """Dimension of the label an argument list names, 0 when the CLI
+    refuses it before any work, and infinity for an entry above 4, whose
+    tableaux may be too many to count by enumeration."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(_attach_dash_values(argv))
+        if args.command == "reduced":
+            label = _label_from(args, kind_attr="ambient_kind",
+                                weight_attr="ambient_weight",
+                                eps_attr="ambient_eps", n=args.algebra + 1)
+        else:
+            label = _label_from(args)
+    except (SystemExit, ValueError):
+        return 0
+    if max(abs(e.twice) for e in label.m_top) > 8:
+        return float("inf")
+    return dimension(label)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_exit_code_contract_on_malformed_and_extreme_argv(argv):
+    assume(_label_size(argv) <= 60)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -203,7 +203,7 @@ def test_relation_check_rejects_mixed_dims():
 def test_composite_base_case():
     label = lab(4, (2, 0))
     base = build_all_generators(label, CTX)
-    comp = composite_generator(label, 3, 2, "+", CTX, base)
+    comp = composite_generator(label, 3, 2, "+", CTX)
     assert np.array_equal(comp.mat, base[1].mat)
 
 
@@ -213,10 +213,10 @@ def test_composite_recursion_vs_explicit_products():
     i21, i32 = base[0].mat, base[1].mat
     sq = CTX.q ** 0.5
     explicit_minus = (i21 @ i32) / sq - sq * (i32 @ i21)
-    got = composite_generator(label, 3, 1, "-", CTX, base)
+    got = composite_generator(label, 3, 1, "-", CTX)
     assert np.allclose(got.mat, explicit_minus, atol=1e-14)
     explicit_plus = sq * (i21 @ i32) - (i32 @ i21) / sq
-    assert np.allclose(composite_generator(label, 3, 1, "+", CTX, base).mat,
+    assert np.allclose(composite_generator(label, 3, 1, "+", CTX).mat,
                        explicit_plus, atol=1e-14)
 
 
@@ -225,7 +225,7 @@ def test_composite_classical_limit_is_commutator():
     label = lab(3, (2,))
     base = build_all_generators(label, ctx)
     comm = base[0].mat @ base[1].mat - base[1].mat @ base[0].mat
-    comp = composite_generator(label, 3, 1, "+", ctx, base)
+    comp = composite_generator(label, 3, 1, "+", ctx)
     assert np.abs(comp.mat - comm).max() <= 1e-4
 
 

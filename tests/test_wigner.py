@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       ValidationError, canonical_vector_operator,
                       check_vector_operator, direct_sum, enumerate_patterns,
                       primed_inverse_cgc, reduced_matrix_elements, top_cgc)
+from qso_reps.cgc import admissible_aux
 from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import branch_rows
 from qso_reps.wigner import FactorizationError, VectorOperator
@@ -89,27 +91,31 @@ def test_primed_inverse_cgc_zero_outside_branching():
 
 
 def test_primed_inverse_cgc_aux_independence():
-    from qso_reps.cgc import aux_candidates
-    src_label = lab(4, (2, 0))
-    basis = enumerate_patterns(src_label)
-    tgt_label = src_label.with_weight((H(2), H(2)))
-    tgt_basis = enumerate_patterns(tgt_label)
-    values = {}
-    count = 0
-    for aux in aux_candidates(src_label, tgt_label.m_top)[:4]:
-        try:
-            vals = [primed_inverse_cgc(k, tgt, src, CLASSICAL, None, CTX, aux)
-                    for k in (1, 2, 3)
-                    for tgt in tgt_basis.patterns[:2]
-                    for src in basis.patterns[:3]]
-        except Exception:
-            continue
-        values[aux] = np.array(vals)
-        count += 1
-    assert count >= 2
-    ref = next(iter(values.values()))
-    for vals in values.values():
-        assert np.allclose(vals, ref, atol=1e-10)
+    # every usable auxiliary weight gives the same primed inverse tables,
+    # blocks / mu, and primed_inverse_cgc reads the first one's
+    for src_label in (lab(4, (2, 0)), lab(5, (4, 2)),
+                      lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
+        basis = enumerate_patterns(src_label)
+        for q in (1.3, 0.7, 2.5):
+            ctx = QContext(q)
+            for m_tgt in branch_rows(src_label.m_top, src_label.n,
+                                     src_label.kind):
+                _, found = admissible_aux(src_label, m_tgt, False, ctx, want=3)
+                assert len(found) >= 2
+                (_, mu, ref), *others = found
+                for _, mu2, blocks in others:
+                    for k, block in blocks.items():
+                        assert np.abs(block / mu2 - ref[k] / mu).max() <= 1e-10
+                if q != CTX.q:
+                    continue
+                tgt_basis = enumerate_patterns(src_label.with_weight(m_tgt))
+                for k, block in ref.items():
+                    for (i, tgt), (j, src) in itertools.product(
+                            enumerate(tgt_basis.patterns[:2]),
+                            enumerate(basis.patterns[:2])):
+                        assert primed_inverse_cgc(
+                            k, tgt, src, src_label.kind, src_label.eps,
+                            ctx) == block[i, j] / mu
 
 
 def test_reduced_elements_so5_vector(vop_so5_vec):
