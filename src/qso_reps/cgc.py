@@ -16,8 +16,7 @@ every composite generator thus follows from one top-generator block by the
 q-commutator recursion (`aux_blocks`).  The aux-weight search
 (`admissible_aux`) evaluates the closed form once per block pair and each
 candidate's blocks once, and hands both on; only the rank-n generators are
-cached, in the context.  The (target, source) blocks with the other sign
-give the primed inverse coefficients used by `wigner`.
+cached, in the context.
 
 Each block's intertwiner is checked against the product-space generators
 applied slot by slot (`tensorprod.tensor_action`); no product-space matrix
@@ -178,70 +177,58 @@ def _require_restriction(aux: IrrepLabel, label: IrrepLabel) -> None:
         raise AuxSearchError(f"auxiliary weight {aux} does not admit {label}")
 
 
-def aux_blocks(rows: IrrepLabel, cols: IrrepLabel, aux: IrrepLabel, sign: str,
+def aux_blocks(source: IrrepLabel, target: IrrepLabel, aux: IrrepLabel,
                ctx: QContext) -> dict[int, np.ndarray]:
-    """Blocks of the composite generators I^sign(n+1, l) of the auxiliary
-    irrep `aux`, rows under `rows` and columns under `cols`, for slots
-    l = n down to 1.  Slot n is the plain top-generator block, evaluated
-    from the coefficient formulas; the q-commutator pass with the cached
-    rank-n generators of `rows` and `cols` gives the rest.  The blocks are
-    not cached: `admissible_aux` hands those of the weights it accepts on."""
-    for label in (rows, cols):
+    """Blocks of the composite generators I^-(n+1, l), l = n..1, of the
+    auxiliary irrep `aux`, rows under `source` and columns under `target`:
+    the top-generator block, then the q-commutator pass with the cached
+    rank-n generators.  Not cached; `admissible_aux` hands them on."""
+    for label in (source, target):
         _require_restriction(aux, label)
     index = {extend_pattern(aux.m_top, p): i
-             for i, p in enumerate(enumerate_patterns(rows).patterns)}
-    cols_ext = [extend_pattern(aux.m_top, p)
-                for p in enumerate_patterns(cols).patterns]
-    return composite_chain(generator_block(aux, aux.n - 1, index, cols_ext, ctx),
-                           [g.mat for g in build_all_generators(rows, ctx)],
-                           [g.mat for g in build_all_generators(cols, ctx)],
-                           sign, ctx)
+             for i, p in enumerate(enumerate_patterns(source).patterns)}
+    cols = [extend_pattern(aux.m_top, p)
+            for p in enumerate_patterns(target).patterns]
+    return composite_chain(generator_block(aux, aux.n - 1, index, cols, ctx),
+                           [g.mat for g in build_all_generators(source, ctx)],
+                           [g.mat for g in build_all_generators(target, ctx)],
+                           "-", ctx)
 
 
-def _block_mu(closed: np.ndarray, top: np.ndarray,
-              forward: bool) -> complex | None:
+def _block_mu(closed: np.ndarray, top: np.ndarray) -> complex | None:
     """Normalising ratio DEN/TOP at the first nonzero (i, j) of the closed
     form `closed` in target order, or None unless DEN exceeds 1e-6 of the
-    largest entry of the aux block `top` (rows: source tableaux when
-    `forward`, else target tableaux); a non-finite DEN or block fails."""
+    largest entry of the aux block `top`; any NaN or inf fails."""
     nonzero = np.argwhere(closed.T)
     if not nonzero.size:
         return None
     j, i = nonzero[0]
-    den = top[i, j] if forward else top[j, i]
+    den = top[i, j]
     if not abs(den) > 1e-6 * float(np.abs(top).max()):
         return None
     return den / closed[i, j]
 
 
-def admissible_aux(source: IrrepLabel, m_tgt: Row, forward: bool, ctx: QContext,
+def admissible_aux(source: IrrepLabel, m_tgt: Row, ctx: QContext,
                    want: int = 1) -> tuple[np.ndarray, UsableAux]:
     """The closed-form slot-n table `top_table` of the block pair source ->
     m_tgt, and up to `want` usable auxiliary weights for it, in candidate
     order, each with its normalising ratio and its `aux_blocks`; callers
-    take the table and the blocks from here.
-
-    `forward` selects the orientation: (source, target) rows and columns
-    with sign "-" for coupling coefficients, (target, source) with "+" for
-    primed inverse ones.
-    """
+    take the table and the blocks from here."""
     target = source.with_weight(m_tgt)
-    rows, cols, sign = ((source, target, "-") if forward
-                        else (target, source, "+"))
     closed = top_table(source, target, ctx)
     found: UsableAux = []
     tried = aux_candidates(source, m_tgt)
     for candidate in tried:
-        blocks = aux_blocks(rows, cols, candidate, sign, ctx)
-        mu = _block_mu(closed, blocks[source.n], forward)
+        blocks = aux_blocks(source, target, candidate, ctx)
+        mu = _block_mu(closed, blocks[source.n])
         if mu is not None:
             found.append((candidate, mu, blocks))
             if len(found) >= want:
                 break
     if not found:
-        what = "coupling" if forward else "primed inverse"
         raise AuxSearchError(
-            f"no usable auxiliary weight for {what} coefficients {source} -> "
+            f"no usable auxiliary weight for coupling coefficients {source} -> "
             f"{m_tgt}; tried " + ", ".join(repr(a) for a in tried))
     return closed, found
 
@@ -266,7 +253,7 @@ def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
     label = IrrepLabel(n, kind, src.row(n), eps)
     if cgc_is_zero(k, src, tgt, kind):
         return 0j
-    closed, ((_, mu, blocks),) = admissible_aux(label, tgt.row(n), True, ctx)
+    closed, ((_, mu, blocks),) = admissible_aux(label, tgt.row(n), ctx)
     i = enumerate_patterns(label).position(src)
     j = enumerate_patterns(label.with_weight(tgt.row(n))).position(tgt)
     if k == n:
@@ -384,7 +371,7 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
     for branch in branching_set(label.m_top, n, label.kind):
         m_tgt = branch.row
         target_label = label.with_weight(m_tgt)
-        closed, scales = admissible_aux(label, m_tgt, True, ctx, want=2)
+        closed, scales = admissible_aux(label, m_tgt, ctx, want=2)
         aux, mu, blocks = scales[0]
         slots = _slot_tables(blocks, mu, ctx)
         coeffs = _compute_block_table(label, target_label, closed, slots, ctx)

@@ -319,7 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: input too large: {exc}", file=sys.stderr)
+        print(f"error: input too large: {str(exc) or 'ran out of memory'}",
+              file=sys.stderr)
         return 2
     except (DecompositionError, AuxSearchError, FactorizationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)

@@ -240,6 +240,15 @@ def enumerate_patterns(label: IrrepLabel) -> BasisIndex:
     return BasisIndex(label, patterns, index)
 
 
+@lru_cache(maxsize=None)
+def pattern_parity(label: IrrepLabel) -> tuple[int, ...]:
+    """(-1)^(sum of the entries below the top row, half-odd ones shifted by
+    +1/2) of each tableau, in basis order.  With D its diagonal, every
+    generator G of `label` obeys G.T == D G D exactly."""
+    return tuple((-1) ** sum((e.twice + 1) // 2 for r in p.rows[1:] for e in r)
+                 for p in enumerate_patterns(label).patterns)
+
+
 def dimension(label: IrrepLabel) -> int:
     return enumerate_patterns(label).dim
 

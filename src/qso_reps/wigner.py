@@ -10,11 +10,12 @@ least-squares fit and the factorisation is certified by the spread of the
 individual ratios.
 
 The primed inverse coefficients of a block pair are the (target, source)
-blocks of the "+" composite generators of an auxiliary next-rank irrep,
-divided by one normalising ratio.  The aux-weight search
-`cgc.admissible_aux` hands on all n slots of that block, computed in one
-q-commutator pass without building the auxiliary irrep.  Generators are
-cached in the context, so each label's are built once per q.
+blocks of the "+" composite generators of an auxiliary next-rank irrep over
+their normalising ratio.  Every generator obeys G.T == D G D, D the diagonal
+of `gtbasis.pattern_parity`, so each "+" chain level is minus the gauged
+transpose of a "-" one, and slot k is s (-1)^(n-k) D_t (F_k / mu).T D_s for
+the blocks F_k and ratio mu of `cgc.admissible_aux`.  s = D_t[j] D_s[i] at
+the entry (i, j) of mu is 1: D skips the top row, the rest is shared there.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .qarith import QContext, ValidationError
 from .gtbasis import (NONCLASSICAL, BasisIndex, GTPattern, IrrepLabel,
-                      branch_rows, enumerate_patterns)
+                      branch_rows, enumerate_patterns, pattern_parity)
 from .reps import (RelationReport, RelationResidual, build_all_generators,
                    composite_chain, max_entry, relation_residual)
 from .cgc import Row, admissible_aux
@@ -152,10 +153,12 @@ def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
 
 def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row,
                     ctx: QContext) -> dict[int, np.ndarray]:
-    """Primed inverse coefficients of every slot 1..n for one (target,
-    source) weight pair: slot k maps to a target x source array."""
-    _, ((_, mu, blocks),) = admissible_aux(src_label, m_tgt, False, ctx)
-    return {k: block / mu for k, block in blocks.items()}
+    """Slot k (1..n) -> target x source primed inverse coefficients."""
+    _, ((_, mu, blocks),) = admissible_aux(src_label, m_tgt, ctx)
+    gauge = np.outer(pattern_parity(src_label.with_weight(m_tgt)),
+                     pattern_parity(src_label))
+    return {k: (-1) ** (src_label.n - k) * gauge * (block / mu).T
+            for k, block in blocks.items()}
 
 
 def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,

@@ -209,7 +209,7 @@ def test_criterion_6_auxiliary_independence():
         for branch in branching_set(label.m_top, label.n, label.kind):
             # the first two usable auxiliary weights: every slot's block over
             # its normalising ratio, slot n included
-            _, found = admissible_aux(label, branch.row, True, ctx, want=2)
+            _, found = admissible_aux(label, branch.row, ctx, want=2)
             if len(found) < 2:
                 continue
             (_, mu1, blocks1), (_, mu2, blocks2) = found

@@ -24,6 +24,7 @@ from qso_reps.cgc import (AuxSearchError, DecompositionError, _block_mu,
                           top_table)
 from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import covers, rows_below, weight_is_dominant
+from qso_reps.wigner import _inverse_blocks
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -144,10 +145,10 @@ AUX_QS = (1.3, 0.7, 2.5)
 
 
 @functools.lru_cache(maxsize=None)
-def _usable_aux(label, m_tgt, forward, q):
+def _usable_aux(label, m_tgt, q):
     """Closed form and up to three usable auxiliary weights of one block
     pair at q, as `admissible_aux` gives them."""
-    return admissible_aux(label, m_tgt, forward, QContext(q), want=3)
+    return admissible_aux(label, m_tgt, QContext(q), want=3)
 
 
 def _aux_block_pairs():
@@ -161,21 +162,24 @@ def _aux_block_pairs():
 def test_aux_top_block_is_mu_times_closed_form(forward):
     # the factorisation that makes the auxiliary weight internal: every
     # usable weight's top-generator block is its normalising ratio times the
-    # closed-form slot n (transposed for the primed inverse orientation)
+    # closed-form slot n, and the primed inverse slot n is its transpose
     for q, label, m_tgt in _aux_block_pairs():
-        closed, found = _usable_aux(label, m_tgt, forward, q)
+        closed, found = _usable_aux(label, m_tgt, q)
         assert len(found) >= 2, (label, m_tgt, q)
-        want = closed if forward else closed.T
         bound = 1e-15 * float(np.abs(closed).max())
+        if not forward:
+            inverse = _inverse_blocks(label, m_tgt, QContext(q))[label.n]
+            assert np.abs(inverse - closed.T).max() <= bound, (label, m_tgt, q)
+            continue
         for aux, mu, blocks in found:
-            assert np.abs(blocks[label.n] / mu - want).max() <= bound, aux
+            assert np.abs(blocks[label.n] / mu - closed).max() <= bound, aux
 
 
 def test_recursion_aux_independence():
     # every usable auxiliary weight gives the same coupling tables
     for q, label, m_tgt in _aux_block_pairs():
         ctx = QContext(q)
-        _, ((_, mu, blocks), *others) = _usable_aux(label, m_tgt, True, q)
+        _, ((_, mu, blocks), *others) = _usable_aux(label, m_tgt, q)
         ref = _slot_tables(blocks, mu, ctx)
         for _, mu2, blocks2 in others:
             for slot, (_, values) in _slot_tables(blocks2, mu2, ctx).items():
@@ -200,7 +204,7 @@ def test_selection_rules_match_matrix_support():
     src_basis = enumerate_patterns(label)
     for branch in branching_set(label.m_top, 4, CLASSICAL):
         target = label.with_weight(branch.row)
-        _, ((_, _, blocks),) = admissible_aux(label, branch.row, True, CTX)
+        _, ((_, _, blocks),) = admissible_aux(label, branch.row, CTX)
         tgt_basis = enumerate_patterns(target)
         for k in ("+", "-", 3, 4):
             mat = blocks[2 if k in ("+", "-") else k]
@@ -260,38 +264,49 @@ def _dense_composite(aux, slot, sign):
     lab(3, (3,), NONCLASSICAL, (1, -1)),
 ])
 def test_aux_blocks_match_dense_auxiliary_irrep(label):
+    # forward blocks against the "-" composites of the dense auxiliary irrep,
+    # and the primed inverse tables against its "+" composites in the
+    # (target, source) orientation over their own normalising ratio
     n = label.n
     for branch in branching_set(label.m_top, n, label.kind):
         target = label.with_weight(branch.row)
         picked = {True: [], False: []}
+        inverse = None
         for aux in aux_candidates(label, branch.row):
             if min(len(v) for v in picked.values()) >= 2:
                 break
             base = build_all_generators(aux, CTX)
             aux_basis = enumerate_patterns(aux)
             top = base[n - 1].mat
-            for rows, cols in ((label, target), (target, label)):
-                pos = [[aux_basis.position(GTPattern((aux.m_top,) + p.rows))
-                        for p in enumerate_patterns(lbl).patterns]
-                       for lbl in (rows, cols)]
-                for sign in ("+", "-"):
-                    blocks = aux_blocks(rows, cols, aux, sign, CTX)
-                    assert sorted(blocks) == list(range(1, n + 1))
-                    for slot, block in blocks.items():
-                        dense = top if slot == n else _dense_composite(
-                            aux, slot, sign)
-                        want = dense[np.ix_(*pos)]
-                        scale = max(1.0, float(np.abs(dense).max()))
-                        assert np.abs(block - want).max() <= 1e-13 * scale
+            src, tgt = ([aux_basis.position(GTPattern((aux.m_top,) + p.rows))
+                         for p in enumerate_patterns(lbl).patterns]
+                        for lbl in (label, target))
+            blocks = aux_blocks(label, target, aux, CTX)
+            assert sorted(blocks) == list(range(1, n + 1))
+            for slot, block in blocks.items():
+                dense = top if slot == n else _dense_composite(aux, slot, "-")
+                want = dense[np.ix_(src, tgt)]
+                scale = max(1.0, float(np.abs(dense).max()))
+                assert np.abs(block - want).max() <= 1e-13 * scale
             for forward in (True, False):
                 mu = _dense_mu(label, branch.row, top, aux_basis, aux, forward)
-                if mu is not None:
-                    picked[forward].append(aux)
+                if mu is None:
+                    continue
+                picked[forward].append(aux)
+                if not forward and inverse is None:
+                    inverse = {slot: (top if slot == n else _dense_composite(
+                        aux, slot, "+"))[np.ix_(tgt, src)] for slot in blocks}
+                    inverse_mu = mu
+        # both orientations pick the weights the search picks
+        _, found = admissible_aux(label, branch.row, CTX, want=2)
         for forward, dense_pick in picked.items():
             assert dense_pick, (label, branch.row, forward)
-            _, found = admissible_aux(label, branch.row, forward, CTX, want=2)
-            got = [a for a, _, _ in found]
-            assert got == dense_pick[:2]
+            assert [a for a, _, _ in found] == dense_pick[:2]
+        for slot, table in _inverse_blocks(label, branch.row, CTX).items():
+            want = inverse[slot] / inverse_mu
+            scale = max(1.0, float(np.abs(inverse[slot]).max()))
+            assert (np.abs(table - want).max()
+                    <= 1e-13 * scale / abs(inverse_mu)), (branch.row, slot)
 
 
 def test_no_auxiliary_irrep_is_built(monkeypatch):
@@ -403,10 +418,10 @@ def test_unusable_aux_has_no_normalising_ratio():
     closed = top_table(label, target, CTX)
     # these auxiliary weights cannot normalise the middle target block
     for bad in (lab(4, (2, 0)), lab(4, (4, 0))):
-        blocks = aux_blocks(label, target, bad, "-", CTX)
-        assert _block_mu(closed, blocks[3], True) is None
+        blocks = aux_blocks(label, target, bad, CTX)
+        assert _block_mu(closed, blocks[3]) is None
     # so the search passes over so4(1,0) between usable candidates
-    _, found = admissible_aux(label, target.m_top, True, CTX, want=3)
+    _, found = admissible_aux(label, target.m_top, CTX, want=3)
     assert [aux for aux, _, _ in found] == [
         lab(4, (2, -2)), lab(4, (4, -2)), lab(4, (2, 2))]
 
@@ -535,12 +550,12 @@ def test_nan_in_second_aux_block_is_a_disagreement(monkeypatch):
     real = qso_reps.cgc.aux_blocks
     seen = set()
 
-    def poisoned(rows, cols, aux, sign, ctx):
-        blocks = real(rows, cols, aux, sign, ctx)
-        if (rows, cols) in seen:  # a later candidate of this block pair
+    def poisoned(source, target, aux, ctx):
+        blocks = real(source, target, aux, ctx)
+        if (source, target) in seen:  # a later candidate of this block pair
             blocks[3] = blocks[3].copy()
             blocks[3][0, 0] = np.nan
-        seen.add((rows, cols))
+        seen.add((source, target))
         return blocks
 
     monkeypatch.setattr(qso_reps.cgc, "aux_blocks", poisoned)
@@ -608,9 +623,9 @@ def test_intertwiner_residual_is_a_decomposition_error(monkeypatch):
 def test_aux_blocks_require_a_restricting_aux():
     label = lab(3, (2,))
     with pytest.raises(ValidationError, match="is not an auxiliary weight for"):
-        aux_blocks(label, label, lab(5, (2, 2)), "-", CTX)
+        aux_blocks(label, label, lab(5, (2, 2)), CTX)
     with pytest.raises(AuxSearchError, match="does not admit"):
-        aux_blocks(label, label, lab(4, (6, 6)), "-", CTX)
+        aux_blocks(label, label, lab(4, (6, 6)), CTX)
 
 
 def test_context_cache_dies_with_context():

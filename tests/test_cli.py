@@ -266,6 +266,18 @@ def test_memory_error_exits_two(capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_memory_error_without_text_still_names_a_reason(capsys, monkeypatch):
+    import qso_reps.cli as cli
+
+    def exhausted(label):
+        raise MemoryError()  # as an allocation failure raises it
+
+    monkeypatch.setattr(cli, "dimension", exhausted)
+    code, out, err = run(capsys, "dim", "--algebra", "3", "--weight", "4")
+    assert code == 2 and out == ""
+    assert err == "error: input too large: ran out of memory\n"
+
+
 def test_unwritable_out_exits_two(capsys):
     code, out, err = run(capsys, "decompose", "--algebra", "3", "--weight",
                          "1", "--out", "/nonexistent/dir/x")

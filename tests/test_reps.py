@@ -10,6 +10,7 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
                       ValidationError, build_generator, check_relations,
                       coeff_classical, coeff_nonclassical, composite_generator,
                       enumerate_patterns, q_bracket, q_bracket_plus, q_power)
+from qso_reps.gtbasis import pattern_parity
 from qso_reps.reps import relation_residual
 
 H = HalfInt
@@ -381,15 +382,42 @@ def test_coefficients_evaluated_once_per_row_triple(monkeypatch):
 
 @pytest.mark.parametrize("label", [
     lab(3, (4,)), lab(4, (2, 2)), lab(5, (4, 2)), lab(6, (4, 2, 0)),
+    lab(3, (3,), NONCLASSICAL, (1, -1)),
+    lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+    lab(5, (5, 1), NONCLASSICAL, (1, 1, -1, 1)),
+    lab(6, (3, 1, 1), NONCLASSICAL, (1, -1, 1, -1, 1)),
 ])
 def test_classical_generators_are_symmetric_in_q_and_inverse_q(label):
-    # the classical coefficients are symmetric under q -> 1/q; the
-    # nonclassical ones are not
+    # the classical coefficients are symmetric under q -> 1/q; nonclassical
+    # generator k at 1/q flips its diagonal, and its off-diagonal part by
+    # (-1)^k
     for q in (1.3, 5.0):
         at_q = build_all_generators(label, QContext(q))
         at_inverse = build_all_generators(label, QContext(1 / q))
-        for g, h in zip(at_q, at_inverse):
-            assert np.abs(g.mat - h.mat).max() <= 1e-15 * np.abs(g.mat).max()
+        for k, (g, h) in enumerate(zip(at_q, at_inverse), start=1):
+            want = g.mat
+            if label.kind == NONCLASSICAL:
+                diag = np.diag(np.diag(g.mat))
+                want = -diag + (-1) ** k * (g.mat - diag)
+            assert np.abs(h.mat - want).max() <= 1e-15 * np.abs(g.mat).max()
+
+
+@pytest.mark.parametrize("label", [
+    lab(3, (4,)), lab(4, (3, -1)), lab(5, (4, 2)), lab(5, (3, 1)),
+    lab(6, (4, 2, 0)), lab(6, (3, 1, -1)),
+    lab(3, (3,), NONCLASSICAL, (1, -1)),
+    lab(4, (3, 1), NONCLASSICAL, (1, -1, 1)),
+    lab(5, (5, 3), NONCLASSICAL, (1, -1, 1, -1)),
+    lab(6, (3, 1, 1), NONCLASSICAL, (1, -1, 1, -1, 1)),
+])
+def test_generators_are_parity_gauged_transposes(label):
+    # G.T == D G D exactly, D the diagonal of pattern_parity: each lowering
+    # coefficient is the negated raising coefficient of its neighbour; the
+    # primed inverse tables of `wigner` rest on it
+    d = np.array(pattern_parity(label), dtype=float)
+    for q in (1.3, 0.35):
+        for g in build_all_generators(label, QContext(q)):
+            assert np.array_equal(g.mat.T, d[:, None] * g.mat * d), g.name
 
 
 def test_vanishing_denominator_is_singular(monkeypatch):

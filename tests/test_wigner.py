@@ -8,10 +8,13 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       ValidationError, canonical_vector_operator,
                       check_vector_operator, direct_sum, enumerate_patterns,
                       primed_inverse_cgc, reduced_matrix_elements, top_cgc)
-from qso_reps.cgc import admissible_aux
+from qso_reps.cgc import admissible_aux, top_table
 from qso_reps.cli import main as cli_main
-from qso_reps.gtbasis import branch_rows
-from qso_reps.wigner import FactorizationError, VectorOperator
+from qso_reps.gtbasis import branch_rows, extend_pattern
+from qso_reps.reps import (build_all_generators, composite_chain,
+                           generator_block)
+from qso_reps.wigner import (FactorizationError, VectorOperator,
+                             _inverse_blocks)
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -90,9 +93,30 @@ def test_primed_inverse_cgc_zero_outside_branching():
     assert primed_inverse_cgc(4, far, src, CLASSICAL, None, CTX) == 0j
 
 
+def _plus_chain_tables(src_label, m_tgt, aux, ctx):
+    """Primed inverse tables of one usable auxiliary weight, computed in
+    the (target, source) orientation: the "+" chain run on the transposed
+    top-generator block, over its own normalising ratio."""
+    target = src_label.with_weight(m_tgt)
+    rows, cols = (enumerate_patterns(lbl).patterns
+                  for lbl in (target, src_label))
+    top = generator_block(aux, aux.n - 1,
+                          {extend_pattern(aux.m_top, p): i
+                           for i, p in enumerate(rows)},
+                          [extend_pattern(aux.m_top, p) for p in cols], ctx)
+    chain = composite_chain(
+        top, [g.mat for g in build_all_generators(target, ctx)],
+        [g.mat for g in build_all_generators(src_label, ctx)], "+", ctx)
+    closed = top_table(src_label, target, ctx)
+    j, i = np.argwhere(closed.T)[0]
+    mu = top[j, i] / closed[i, j]
+    return {k: block / mu for k, block in chain.items()}
+
+
 def test_primed_inverse_cgc_aux_independence():
-    # every usable auxiliary weight gives the same primed inverse tables,
-    # blocks / mu, and primed_inverse_cgc reads the first one's
+    # every usable auxiliary weight's "+" chain gives the primed inverse
+    # tables `_inverse_blocks` takes from the forward blocks, and
+    # primed_inverse_cgc reads them
     for src_label in (lab(4, (2, 0)), lab(5, (4, 2)),
                       lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
         basis = enumerate_patterns(src_label)
@@ -100,22 +124,24 @@ def test_primed_inverse_cgc_aux_independence():
             ctx = QContext(q)
             for m_tgt in branch_rows(src_label.m_top, src_label.n,
                                      src_label.kind):
-                _, found = admissible_aux(src_label, m_tgt, False, ctx, want=3)
+                _, found = admissible_aux(src_label, m_tgt, ctx, want=3)
                 assert len(found) >= 2
-                (_, mu, ref), *others = found
-                for _, mu2, blocks in others:
-                    for k, block in blocks.items():
-                        assert np.abs(block / mu2 - ref[k] / mu).max() <= 1e-10
+                tables = _inverse_blocks(src_label, m_tgt, ctx)
+                for aux, _, _ in found:
+                    ref = _plus_chain_tables(src_label, m_tgt, aux, ctx)
+                    assert sorted(ref) == sorted(tables)
+                    for k, table in tables.items():
+                        assert np.abs(table - ref[k]).max() <= 1e-10, (aux, k)
                 if q != CTX.q:
                     continue
                 tgt_basis = enumerate_patterns(src_label.with_weight(m_tgt))
-                for k, block in ref.items():
+                for k, table in tables.items():
                     for (i, tgt), (j, src) in itertools.product(
                             enumerate(tgt_basis.patterns[:2]),
                             enumerate(basis.patterns[:2])):
                         assert primed_inverse_cgc(
                             k, tgt, src, src_label.kind, src_label.eps,
-                            ctx) == block[i, j] / mu
+                            ctx) == table[i, j]
 
 
 def test_reduced_elements_so5_vector(vop_so5_vec):
