@@ -22,7 +22,8 @@ one tableau is therefore memoised on those three rows and the family: a hit
 runs the same formulas on the same rows, so it returns bit-identical values,
 and the out-of-lattice check runs once per key.  The memo and the generators
 of `build_all_generators` are values derived at q, so they live in the
-`QContext`'s cache and are freed with it.
+`QContext`'s cache and are freed with it.  `check_relations` multiplies
+them as `Sparse` nonzeros: a dense product would mostly add zeros.
 """
 
 from __future__ import annotations
@@ -316,11 +317,13 @@ class RelationReport:
 
 def relation_residual(relation: str, diff: np.ndarray, scale: float,
                       ctx: QContext) -> RelationResidual:
-    """Report entry for one relation: the Frobenius norm of `diff`, its two
-    sides' difference, passed when at most `ctx.tolerance(scale)`."""
+    """Report entry for one relation: the Frobenius norm of `diff` (the two
+    sides' difference, or its nonzero entries), passed when it and `scale`
+    are finite and it is at most `ctx.tolerance(scale)`."""
     residual = float(np.linalg.norm(diff))
     return RelationResidual(relation, residual, scale,
-                            residual <= ctx.tolerance(scale))
+                            math.isfinite(residual) and math.isfinite(scale)
+                            and residual <= ctx.tolerance(scale))
 
 
 def max_entry(*mats: np.ndarray) -> float:
@@ -328,28 +331,76 @@ def max_entry(*mats: np.ndarray) -> float:
     return max((float(np.abs(m).max()) if m.size else 0.0) for m in mats)
 
 
+class Sparse:
+    """A matrix as its nonzero entries (row, col, val), one per key in
+    row-major order.  With a generator factor of at most w nonzeros per row
+    and column, a product makes at most w * nnz(other) terms: O(w * d^2).
+    A plain class: a dataclass would generate its methods at import."""
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape, rows, cols, vals):
+        self.shape, self.rows, self.cols, self.vals = shape, rows, cols, vals
+
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "Sparse":
+        rows, cols = np.nonzero(mat)
+        return cls(mat.shape, rows, cols, mat[rows, cols])
+
+    def __matmul__(self, other: "Sparse") -> "Sparse":
+        # entry e = (i, j) meets the per[e] entries of row j of `other`,
+        # which end at cumsum(counts)[j]; e's terms end at cumsum(per)[e]
+        counts = np.bincount(other.rows, minlength=other.shape[0])
+        per = counts[self.cols]
+        take = np.repeat(np.arange(per.size), per)
+        pick = np.repeat(np.cumsum(counts)[self.cols] - np.cumsum(per), per)
+        pick += np.arange(pick.size)
+        prod = Sparse((self.shape[0], other.shape[1]), self.rows[take],
+                      other.cols[pick], self.vals[take] * other.vals[pick])
+        return combine((1, prod))
+
+
+def combine(*terms: tuple[complex, Sparse]) -> Sparse:
+    """sum(c * m) over the (c, m) terms, repeated keys summed in order."""
+    shape = terms[0][1].shape
+    key = np.concatenate([m.rows * shape[1] + m.cols for _, m in terms])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
+    vals = np.concatenate([c * m.vals for c, m in terms])[order]
+    return Sparse(shape, *np.divmod(key[first], shape[1]),
+                  np.add.reduceat(vals, first))
+
+
+def sparse_residual(relation: str, terms, ctx: QContext,
+                    floor: float = 0.0) -> RelationResidual:
+    """Report entry for the relation sum(c * m) = 0 over the (c, m) terms,
+    scaled by the largest entry of the m, at least `floor`."""
+    scale = max(max_entry(*(m.vals for _, m in terms)), floor)
+    return relation_residual(relation, combine(*terms).vals, scale, ctx)
+
+
 def check_relations(mats: list[GeneratorMatrix], ctx: QContext) -> RelationReport:
-    """Residuals of the defining relations for a candidate representation."""
+    """Residuals of the defining relations for a candidate representation,
+    from products on the nonzeros (`Sparse`: O(w * d^2) memory, never d^3)."""
     dims = {g.dim for g in mats}
     if len(dims) != 1:
         raise ValidationError(f"generator dimensions differ: {sorted(dims)}")
     two = ctx.q + 1.0 / ctx.q
     entries: list[RelationResidual] = []
-    ms = [g.mat for g in mats]
+    ms = [Sparse.of(g.mat) for g in mats]
     for a in range(1, len(ms)):
         x, y = ms[a], ms[a - 1]
         xx, yy = x @ x, y @ y
         t1, t2, t3 = xx @ y, y @ xx, x @ (y @ x)
-        entries.append(relation_residual(
-            f"serre({a + 1},{a})", t1 + t2 - two * t3 + y,
-            max_entry(t1, t2, t3, y), ctx))
+        entries.append(sparse_residual(
+            f"serre({a + 1},{a})", ((1, t1), (1, t2), (-two, t3), (1, y)), ctx))
         u1, u2, u3 = yy @ x, x @ yy, y @ (x @ y)
-        entries.append(relation_residual(
-            f"serre({a},{a + 1})", u1 + u2 - two * u3 + x,
-            max_entry(u1, u2, u3, x), ctx))
+        entries.append(sparse_residual(
+            f"serre({a},{a + 1})", ((1, u1), (1, u2), (-two, u3), (1, x)), ctx))
     for a in range(len(ms)):
         for b in range(a + 2, len(ms)):
-            ab, ba = ms[a] @ ms[b], ms[b] @ ms[a]
-            entries.append(relation_residual(
-                f"far({a + 1},{b + 1})", ab - ba, max_entry(ab, ba), ctx))
+            entries.append(sparse_residual(
+                f"far({a + 1},{b + 1})",
+                ((1, ms[a] @ ms[b]), (-1, ms[b] @ ms[a])), ctx))
     return RelationReport(tuple(entries))

@@ -4,7 +4,10 @@ The tableau oracle enumerates by generate-and-filter over raw integer
 tuples with the interleaving inequalities transcribed directly; the
 classical-limit oracle recomputes every generator coefficient with plain
 arithmetic in place of q-brackets.  Neither shares evaluation code with the
-package (the limit oracle reuses only pattern bookkeeping).
+package (the limit oracle reuses only pattern bookkeeping).  The dense
+relation and covariance checks form every product as a dense matrix
+product, the reference for the package's checks on the nonzeros; they
+share only the report type, its residual rule and `max_entry`.
 """
 
 import cmath
@@ -12,7 +15,10 @@ from itertools import product
 
 import numpy as np
 
-from qso_reps import CLASSICAL, NONCLASSICAL, GTPattern, IrrepLabel, enumerate_patterns
+from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, GTPattern,
+                      IrrepLabel, QContext, RelationReport, ValidationError,
+                      VectorOperator, enumerate_patterns)
+from qso_reps.reps import max_entry, relation_residual
 
 _EPS = 1e-12
 
@@ -153,3 +159,64 @@ def classical_limit_generator(label: IrrepLabel, k: int) -> np.ndarray:
         if k % 2 == 1:
             mat[col, col] += 1j * _limit_c(xi, k)
     return mat
+
+
+def dense_check_relations(mats: list[GeneratorMatrix],
+                          ctx: QContext) -> RelationReport:
+    """`reps.check_relations` with every product a dense matrix product."""
+    dims = {g.dim for g in mats}
+    if len(dims) != 1:
+        raise ValidationError(f"generator dimensions differ: {sorted(dims)}")
+    two = ctx.q + 1.0 / ctx.q
+    entries = []
+    ms = [g.mat for g in mats]
+    for a in range(1, len(ms)):
+        x, y = ms[a], ms[a - 1]
+        xx, yy = x @ x, y @ y
+        t1, t2, t3 = xx @ y, y @ xx, x @ (y @ x)
+        entries.append(relation_residual(
+            f"serre({a + 1},{a})", t1 + t2 - two * t3 + y,
+            max_entry(t1, t2, t3, y), ctx))
+        u1, u2, u3 = yy @ x, x @ yy, y @ (x @ y)
+        entries.append(relation_residual(
+            f"serre({a},{a + 1})", u1 + u2 - two * u3 + x,
+            max_entry(u1, u2, u3, x), ctx))
+    for a in range(len(ms)):
+        for b in range(a + 2, len(ms)):
+            ab, ba = ms[a] @ ms[b], ms[b] @ ms[a]
+            entries.append(relation_residual(
+                f"far({a + 1},{b + 1})", ab - ba, max_entry(ab, ba), ctx))
+    return RelationReport(tuple(entries))
+
+
+def dense_check_vector_operator(vop: VectorOperator,
+                                ctx: QContext) -> RelationReport:
+    """`wigner.check_vector_operator` with every product a dense matrix
+    product."""
+    shapes = {m.shape for m in vop.gens} | {m.shape for m in vop.components}
+    if len(shapes) != 1:
+        raise ValidationError(f"inconsistent operator shapes: {shapes}")
+    sq = ctx.q ** 0.5
+    entries = []
+
+    def qcomm(x, y):
+        return sq * (x @ y) - (y @ x) / sq
+
+    for j in range(2, vop.n + 1):
+        t = vop.gens[j - 2]
+        low, high = vop.components[j - 2], vop.components[j - 1]
+        lhs = qcomm(low, t)
+        entries.append(relation_residual(
+            f"raise({j})", lhs - high, max(max_entry(lhs, high), 1.0), ctx))
+        lhs = qcomm(t, high)
+        entries.append(relation_residual(
+            f"lower({j})", lhs - low, max(max_entry(lhs, low), 1.0), ctx))
+    for j in range(2, vop.n + 1):
+        t = vop.gens[j - 2]
+        for k in range(1, vop.n + 1):
+            if k in (j - 1, j):
+                continue
+            ab, ba = t @ vop.components[k - 1], vop.components[k - 1] @ t
+            entries.append(relation_residual(
+                f"far({j},{k})", ab - ba, max(max_entry(ab, ba), 1.0), ctx))
+    return RelationReport(tuple(entries))
