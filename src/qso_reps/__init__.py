@@ -19,7 +19,7 @@ from .tensorprod import (embedding_check, sl_generators, tensor_action,
 from .cgc import (CGCTable, Intertwiner, assemble_decomposition, recurse_cgc,
                   so2_coupled_vectors, so3_cgc, top_cgc)
 from .wigner import (ReducedElements, VectorOperator, canonical_vector_operator,
-                     check_vector_operator, direct_sum, primed_inverse_cgc,
+                     check_vector_operator, primed_inverse_cgc,
                      reduced_matrix_elements)
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "CGCTable", "Intertwiner", "assemble_decomposition", "recurse_cgc",
     "so2_coupled_vectors", "so3_cgc", "top_cgc",
     "ReducedElements", "VectorOperator", "canonical_vector_operator",
-    "check_vector_operator", "direct_sum", "primed_inverse_cgc",
+    "check_vector_operator", "primed_inverse_cgc",
     "reduced_matrix_elements",
 ]
 

@@ -16,7 +16,8 @@ every composite generator thus follows from one top-generator block by the
 q-commutator recursion (`aux_blocks`).  The aux-weight search
 (`admissible_aux`) evaluates the closed form once per block pair and each
 candidate's blocks once, and hands both on; only the rank-n generators are
-cached, in the context.
+cached, in the context, as nonzeros.  Their dense forms are made for each
+BLAS pass (recursion or intertwiner check) and dropped after it.
 
 Each block's intertwiner is checked against the product-space generators
 applied slot by slot (`tensorprod.tensor_action`); no product-space matrix
@@ -181,18 +182,18 @@ def aux_blocks(source: IrrepLabel, target: IrrepLabel, aux: IrrepLabel,
                ctx: QContext) -> dict[int, np.ndarray]:
     """Blocks of the composite generators I^-(n+1, l), l = n..1, of the
     auxiliary irrep `aux`, rows under `source` and columns under `target`:
-    the top-generator block, then the q-commutator pass with the cached
-    rank-n generators.  Not cached; `admissible_aux` hands them on."""
+    the top-generator block, then the q-commutator pass with the rank-n
+    generators.  Not cached; `admissible_aux` hands them on."""
     for label in (source, target):
         _require_restriction(aux, label)
     index = {extend_pattern(aux.m_top, p): i
              for i, p in enumerate(enumerate_patterns(source).patterns)}
     cols = [extend_pattern(aux.m_top, p)
             for p in enumerate_patterns(target).patterns]
-    return composite_chain(generator_block(aux, aux.n - 1, index, cols, ctx),
-                           [g.mat for g in build_all_generators(source, ctx)],
-                           [g.mat for g in build_all_generators(target, ctx)],
-                           "-", ctx)
+    top = generator_block(aux, aux.n - 1, index, cols, ctx).dense()
+    return dict(composite_chain(
+        top, [g.nonzeros for g in build_all_generators(source, ctx)],
+        [g.nonzeros for g in build_all_generators(target, ctx)], "-", ctx))
 
 
 def _block_mu(closed: np.ndarray, top: np.ndarray) -> complex | None:

@@ -210,9 +210,13 @@ def cmd_reduced(args) -> int:
         vop = canonical_vector_operator(ambient, ctx)
         report = check_vector_operator(vop, ctx)
         if not report.all_passed:
+            failed = "; ".join(
+                f"{e.relation} residual {e.residual:.3e} scale {e.scale:.3e} "
+                f"tolerance {ctx.tolerance(e.scale):.3e}"
+                for e in report.failures())
             raise FactorizationError(
                 f"canonical operator failed covariance check at q={q}: "
-                f"max residual {report.max_residual:.3e}")
+                f"{failed}")
         pairs, pair_rows = _reduced_pairs(q, reduced_matrix_elements(vop, ctx))
         rows += pair_rows
         results.append({"q": q, "pairs": pairs,

@@ -22,15 +22,20 @@ one tableau is therefore memoised on those three rows and the family: a hit
 runs the same formulas on the same rows, so it returns bit-identical values,
 and the out-of-lattice check runs once per key.  The memo and the generators
 of `build_all_generators` are values derived at q, so they live in the
-`QContext`'s cache and are freed with it.  `check_relations` multiplies
-them as `Sparse` nonzeros: a dense product would mostly add zeros.
+`QContext`'s cache and are freed with it.  A generator is built straight
+into its nonzeros (`Sparse`), which is all the cache holds: its dense form
+(`GeneratorMatrix.mat`) is made on each access and not kept.
+`check_relations` multiplies the nonzeros; a dense product would mostly add
+zeros.  `composite_chain` runs on dense arrays, whose BLAS products fix the
+printed digits: it makes each generator dense only for the step that reads
+it and yields each level as soon as it exists.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +46,86 @@ from .gtbasis import (CLASSICAL, NONCLASSICAL, HALF, GTPattern, IrrepLabel,
                       enumerate_patterns, l_coords)
 
 
+class Sparse:
+    """A matrix as its nonzero entries (row, col, val), one per key in
+    row-major order.  With a generator factor of at most w nonzeros per row
+    and column, a product makes at most w * nnz(other) terms: O(w * d^2).
+    A plain class: a dataclass would generate its methods at import."""
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape, rows, cols, vals):
+        self.shape, self.rows, self.cols, self.vals = shape, rows, cols, vals
+
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "Sparse":
+        rows, cols = np.nonzero(mat)
+        return cls(mat.shape, rows, cols, mat[rows, cols])
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Dense copy of rows r0..r1-1 and columns c0..c1-1: the rows are a
+        contiguous run of entries, found by bisection.  Every entry not
+        stored is +0.0."""
+        lo, hi = np.searchsorted(self.rows, (r0, r1))
+        rows, cols = self.rows[lo:hi], self.cols[lo:hi]
+        keep = (cols >= c0) & (cols < c1)
+        out = np.zeros((r1 - r0, c1 - c0), dtype=self.vals.dtype)
+        out[rows[keep] - r0, cols[keep] - c0] = self.vals[lo:hi][keep]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """Dense copy of the whole matrix."""
+        return self.block(0, self.shape[0], 0, self.shape[1])
+
+    def __mul__(self, c: complex) -> "Sparse":
+        return Sparse(self.shape, self.rows, self.cols, c * self.vals)
+
+    def __matmul__(self, other: "Sparse") -> "Sparse":
+        # entry e = (i, j) meets the per[e] entries of row j of `other`,
+        # which end at cumsum(counts)[j]; e's terms end at cumsum(per)[e]
+        counts = np.bincount(other.rows, minlength=other.shape[0])
+        per = counts[self.cols]
+        take = np.repeat(np.arange(per.size), per)
+        pick = np.repeat(np.cumsum(counts)[self.cols] - np.cumsum(per), per)
+        pick += np.arange(pick.size)
+        prod = Sparse((self.shape[0], other.shape[1]), self.rows[take],
+                      other.cols[pick], self.vals[take] * other.vals[pick])
+        return combine((1, prod))
+
+
+def combine(*terms: tuple[complex, Sparse]) -> Sparse:
+    """sum(c * m) over the (c, m) terms, repeated keys summed in order."""
+    shape = terms[0][1].shape
+    key = np.concatenate([m.rows * shape[1] + m.cols for _, m in terms])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
+    vals = np.concatenate([c * m.vals for c, m in terms])[order]
+    return Sparse(shape, *np.divmod(key[first], shape[1]),
+                  np.add.reduceat(vals, first))
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """One generator (or composite generator) as a dense complex matrix."""
+    """One generator (or composite generator) held as its nonzeros; a dense
+    array passed in is stored as `Sparse.of` it."""
 
     label: IrrepLabel
     gen: str
-    mat: np.ndarray
+    nonzeros: Sparse
+
+    def __post_init__(self):
+        if isinstance(self.nonzeros, np.ndarray):
+            object.__setattr__(self, "nonzeros", Sparse.of(self.nonzeros))
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, made on each access and not kept."""
+        return self.nonzeros.dense()
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.nonzeros.shape[0]
 
 
 def _product(ctx: QContext, factors: list[HalfInt], plus: bool = False) -> float:
@@ -214,67 +288,86 @@ def _column_action(label: IrrepLabel, k: int, xi: GTPattern,
 
 
 def generator_block(label: IrrepLabel, k: int, rows: dict[GTPattern, int],
-                    cols: Sequence[GTPattern], ctx: QContext) -> np.ndarray:
+                    cols: Sequence[GTPattern], ctx: QContext) -> Sparse:
     """Block of generator k with the tableaux of `rows` (tableau -> row
-    index) as rows and `cols` as columns.
+    index) as rows and `cols` as columns, as its nonzeros.
 
     Each column's action comes from `_column_action`, memoised on the rows
     at levels k+1, k and k-1 that the coefficients read.  Precondition:
     every column tableau is valid for `label.kind` (as `enumerate_patterns`
     gives them).  Whether a step stays in the lattice then also depends
     only on those rows, so the out-of-lattice check made once per key
-    covers every column."""
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    covers every column.  Each entry is reached once (the steps of one
+    column lead to distinct tableaux, none of them its own), so the result
+    holds exactly the entries `Sparse.of` finds in the dense block."""
     sign = label.eps_for(k + 1) if label.kind == NONCLASSICAL else 1
+    where: list[int] = []
+    vals: list[complex] = []
+    width = len(cols)
     for col, xi in enumerate(cols):
         steps, diag = _column_action(label, k, xi, ctx)
         for j, step, c in steps:
             row = rows.get(xi.replace(k, j, step))
             if row is not None:
-                mat[row, col] += c
+                where.append(row * width + col)
+                vals.append(c)
         if diag is not None:
             row = rows.get(xi)
             if row is not None:
-                mat[row, col] += sign * diag
-    return mat
+                where.append(row * width + col)
+                vals.append(sign * diag)
+    # + 0.0 makes a zero part of either sign +0.0, as 0 + c does in a dense
+    # block; an entry that is then 0 is not stored
+    values = np.array(vals, dtype=complex) + 0.0
+    live = np.flatnonzero(values)
+    key = np.array(where, dtype=np.intp)[live]
+    order = np.argsort(key)
+    return Sparse((len(rows), width), *np.divmod(key[order], width),
+                  values[live[order]])
 
 
 def build_generator(label: IrrepLabel, k: int, ctx: QContext) -> GeneratorMatrix:
-    """Matrix of generator k (k = 1..n-1) on the tableau basis of `label`."""
+    """Generator k (k = 1..n-1) on the tableau basis of `label`."""
     if not 1 <= k <= label.n - 1:
         raise ValidationError(f"generator index {k} out of range for n={label.n}")
     basis = enumerate_patterns(label)
-    mat = generator_block(label, k, basis.index, basis.patterns, ctx)
-    return GeneratorMatrix(label, f"I({k + 1},{k})", mat)
+    nonzeros = generator_block(label, k, basis.index, basis.patterns, ctx)
+    return GeneratorMatrix(label, f"I({k + 1},{k})", nonzeros)
 
 
 def build_all_generators(label: IrrepLabel, ctx: QContext) -> list[GeneratorMatrix]:
     """Generators k = 1..n-1 of `label`, built once per context and kept in
-    `ctx.cache`; each call returns a new list of the same read-only arrays."""
+    `ctx.cache` as read-only nonzeros; each call returns a new list."""
     gens = ctx.cache.get(label)
     if gens is None:
         gens = ctx.cache[label] = [build_generator(label, k, ctx)
                                    for k in range(1, label.n)]
         for g in gens:
-            g.mat.flags.writeable = False
+            for part in (g.nonzeros.rows, g.nonzeros.cols, g.nonzeros.vals):
+                part.flags.writeable = False
     return list(gens)
 
 
-def composite_chain(top: np.ndarray, row_gens: Sequence[np.ndarray],
-                    col_gens: Sequence[np.ndarray], sign: str,
-                    ctx: QContext) -> dict[int, np.ndarray]:
-    """Downward q-commutator recursion run on one block: `top` is the block
-    of generator m = len(row_gens) + 1, row_gens[lv - 1] and col_gens[lv - 1]
-    are generator lv on the row and column spaces, and entry l of the result
-    (m down to 1) is the block of I^sign(m+1, l)."""
+def composite_chain(top: np.ndarray, row_gens: Sequence[Sparse],
+                    col_gens: Sequence[Sparse], sign: str,
+                    ctx: QContext) -> Iterator[tuple[int, np.ndarray]]:
+    """Downward q-commutator recursion run on one block: `top` is the dense
+    block of generator m = len(row_gens) + 1, row_gens[lv - 1] and
+    col_gens[lv - 1] are generator lv on the row and column spaces.  Yields
+    (l, block of I^sign(m+1, l)) for l = m down to 1, each level as soon as
+    it exists.  Generator lv is made dense only for the step that reads it
+    (once when both sides hold the same one), and the recursion keeps only
+    the level it last yielded."""
     s = +0.5 if sign == "+" else -0.5
     qs, qsi = ctx.q ** s, ctx.q ** (-s)
     current = top
-    out = {len(row_gens) + 1: current}
+    yield len(row_gens) + 1, current
     for lv in range(len(row_gens), 0, -1):
-        current = qs * (row_gens[lv - 1] @ current) - qsi * (current @ col_gens[lv - 1])
-        out[lv] = current
-    return out
+        row = row_gens[lv - 1].dense()
+        col = (row if col_gens[lv - 1] is row_gens[lv - 1]
+               else col_gens[lv - 1].dense())
+        current = qs * (row @ current) - qsi * (current @ col)
+        yield lv, current
 
 
 def composite_generator(label: IrrepLabel, k: int, l: int, sign: str,
@@ -286,9 +379,10 @@ def composite_generator(label: IrrepLabel, k: int, l: int, sign: str,
     if not (label.n >= k > l >= 1):
         raise ValidationError(f"need n >= k > l >= 1, got k={k}, l={l}")
     base = build_all_generators(label, ctx)
-    low = [g.mat for g in base[:k - 2]]
-    chain = composite_chain(base[k - 2].mat, low, low, sign, ctx)
-    return GeneratorMatrix(label, f"I{sign}({k},{l})", chain[l])
+    low = [g.nonzeros for g in base[:k - 2]]
+    for level, block in composite_chain(base[k - 2].mat, low, low, sign, ctx):
+        if level == l:
+            return GeneratorMatrix(label, f"I{sign}({k},{l})", block)
 
 
 @dataclass(frozen=True)
@@ -331,47 +425,6 @@ def max_entry(*mats: np.ndarray) -> float:
     return max((float(np.abs(m).max()) if m.size else 0.0) for m in mats)
 
 
-class Sparse:
-    """A matrix as its nonzero entries (row, col, val), one per key in
-    row-major order.  With a generator factor of at most w nonzeros per row
-    and column, a product makes at most w * nnz(other) terms: O(w * d^2).
-    A plain class: a dataclass would generate its methods at import."""
-
-    __slots__ = ("shape", "rows", "cols", "vals")
-
-    def __init__(self, shape, rows, cols, vals):
-        self.shape, self.rows, self.cols, self.vals = shape, rows, cols, vals
-
-    @classmethod
-    def of(cls, mat: np.ndarray) -> "Sparse":
-        rows, cols = np.nonzero(mat)
-        return cls(mat.shape, rows, cols, mat[rows, cols])
-
-    def __matmul__(self, other: "Sparse") -> "Sparse":
-        # entry e = (i, j) meets the per[e] entries of row j of `other`,
-        # which end at cumsum(counts)[j]; e's terms end at cumsum(per)[e]
-        counts = np.bincount(other.rows, minlength=other.shape[0])
-        per = counts[self.cols]
-        take = np.repeat(np.arange(per.size), per)
-        pick = np.repeat(np.cumsum(counts)[self.cols] - np.cumsum(per), per)
-        pick += np.arange(pick.size)
-        prod = Sparse((self.shape[0], other.shape[1]), self.rows[take],
-                      other.cols[pick], self.vals[take] * other.vals[pick])
-        return combine((1, prod))
-
-
-def combine(*terms: tuple[complex, Sparse]) -> Sparse:
-    """sum(c * m) over the (c, m) terms, repeated keys summed in order."""
-    shape = terms[0][1].shape
-    key = np.concatenate([m.rows * shape[1] + m.cols for _, m in terms])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
-    vals = np.concatenate([c * m.vals for c, m in terms])[order]
-    return Sparse(shape, *np.divmod(key[first], shape[1]),
-                  np.add.reduceat(vals, first))
-
-
 def sparse_residual(relation: str, terms, ctx: QContext,
                     floor: float = 0.0) -> RelationResidual:
     """Report entry for the relation sum(c * m) = 0 over the (c, m) terms,
@@ -388,7 +441,7 @@ def check_relations(mats: list[GeneratorMatrix], ctx: QContext) -> RelationRepor
         raise ValidationError(f"generator dimensions differ: {sorted(dims)}")
     two = ctx.q + 1.0 / ctx.q
     entries: list[RelationResidual] = []
-    ms = [Sparse.of(g.mat) for g in mats]
+    ms = [g.nonzeros for g in mats]
     for a in range(1, len(ms)):
         x, y = ms[a], ms[a - 1]
         xx, yy = x @ x, y @ y

@@ -66,9 +66,9 @@ def tensor_rep(t_mats: list[GeneratorMatrix], ctx: QContext) -> list[GeneratorMa
     n = len(t_mats) + 1
     eye = np.eye(n * t_mats[0].dim, dtype=complex)
     label = t_mats[0].label
-    # BLAS may return an exact zero as -0.0; adding 0.0 makes it +0.0
+    # stored as nonzeros, so an exact zero BLAS returns as -0.0 is dropped
     return [GeneratorMatrix(label, f"Ix({k + 1},{k})",
-                            tensor_action(t_mats[k - 1].mat, k, eye, ctx) + 0.0)
+                            tensor_action(t_mats[k - 1].mat, k, eye, ctx))
             for k in range(1, n)]
 
 

@@ -1,13 +1,17 @@
 """Vector operators and the reduced-matrix-element factorisation.
 
 A vector operator is a family of n operators tied to the ambient generators
-by q-commutators, which `check_vector_operator` evaluates on the nonzeros.  Restricting an irrep of the next-rank algebra to the
-chain subalgebra yields the canonical example: the composite generators
-bridging level n+1 to each slot k.  Matrix elements of any vector operator
-between two irreducible blocks factor into a block-pair constant times a
-primed inverse coupling coefficient; the constant is extracted by a weighted
-least-squares fit and the factorisation is certified by the spread of the
-individual ratios.
+by q-commutators, which `check_vector_operator` evaluates on the nonzeros.
+Restricting an irrep of the next-rank algebra to the chain subalgebra
+yields the canonical example: the composite generators bridging level n+1
+to each slot k.  Operators and generators are held as nonzeros
+(`reps.Sparse`); the q-commutator chain that makes the components runs on
+dense arrays, whose BLAS products fix the printed digits, and each level is
+stored as nonzeros as soon as the chain yields it.  Matrix elements of any
+vector operator between two irreducible blocks factor into a block-pair
+constant times a primed inverse coupling coefficient; the constant is
+extracted by a weighted least-squares fit and the factorisation is
+certified by the spread of the individual ratios.
 
 The primed inverse coefficients of a block pair are the (target, source)
 blocks of the "+" composite generators of an auxiliary next-rank irrep over
@@ -50,20 +54,17 @@ class AmbientBlock:
 @dataclass(frozen=True)
 class VectorOperator:
     """Components V_1..V_n with the ambient generator matrices they covary
-    with, on a space decomposed into labelled irreducible blocks."""
+    with, on a space decomposed into labelled irreducible blocks; both are
+    held as nonzeros."""
 
     n: int
     blocks: tuple[AmbientBlock, ...]
-    gens: tuple[np.ndarray, ...]
-    components: tuple[np.ndarray, ...]
+    gens: tuple[Sparse, ...]
+    components: tuple[Sparse, ...]
 
     @property
     def dim(self) -> int:
         return self.gens[0].shape[0]
-
-    def scaled(self, c: complex) -> "VectorOperator":
-        return VectorOperator(self.n, self.blocks, self.gens,
-                              tuple(c * v for v in self.components))
 
 
 def check_vector_operator(vop: VectorOperator, ctx: QContext) -> RelationReport:
@@ -75,7 +76,7 @@ def check_vector_operator(vop: VectorOperator, ctx: QContext) -> RelationReport:
         raise ValidationError(f"inconsistent operator shapes: {shapes}")
     sq = ctx.q ** 0.5
     entries: list[RelationResidual] = []
-    gens, comps = ([Sparse.of(m) for m in ms] for ms in (vop.gens, vop.components))
+    gens, comps = vop.gens, vop.components
 
     def entry(name, lhs, rhs):
         return sparse_residual(name, ((1, lhs), (-1, rhs)), ctx, floor=1.0)
@@ -117,37 +118,17 @@ def _restriction_blocks(ambient: IrrepLabel) -> tuple[AmbientBlock, ...]:
 def canonical_vector_operator(ambient: IrrepLabel, ctx: QContext) -> VectorOperator:
     """The vector operator carried by a next-rank irrep restricted to the
     chain subalgebra: component k is the composite generator from level n+1
-    down to slot k, component n the plain top generator."""
+    down to slot k, component n the plain top generator.  Each ambient
+    generator is dense only for the chain step that reads it."""
     if ambient.n < 3:
         raise ValidationError(f"an ambient needs rank >= 3, got n={ambient.n}")
     n = ambient.n - 1
-    gens = build_all_generators(ambient, ctx)
-    low = [g.mat for g in gens[:n - 1]]
-    chain = composite_chain(gens[n - 1].mat, low, low, "+", ctx)
-    blocks = _restriction_blocks(ambient)
-    return VectorOperator(n, blocks, tuple(low),
-                          tuple(chain[k] for k in range(1, n + 1)))
-
-
-def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
-    """Block-diagonal sum; multiplicity indices are renumbered per label."""
-    if a.n != b.n:
-        raise ValidationError("direct sum needs equal ranks")
-    da = a.dim
-    gens = tuple(np.block([[ga, np.zeros((da, gb.shape[0]))],
-                           [np.zeros((gb.shape[0], da)), gb]])
-                 for ga, gb in zip(a.gens, b.gens))
-    comps = tuple(np.block([[va, np.zeros((da, vb.shape[0]))],
-                            [np.zeros((vb.shape[0], da)), vb]])
-                  for va, vb in zip(a.components, b.components))
-    seen: dict[IrrepLabel, int] = {}
-    blocks: list[AmbientBlock] = []
-    for blk in a.blocks + tuple(
-            AmbientBlock(x.label, x.s, x.offset + da, x.basis) for x in b.blocks):
-        s = seen.get(blk.label, 0)
-        seen[blk.label] = s + 1
-        blocks.append(AmbientBlock(blk.label, s, blk.offset, blk.basis))
-    return VectorOperator(a.n, tuple(blocks), gens, comps)
+    gens = tuple(g.nonzeros for g in build_all_generators(ambient, ctx))
+    low = gens[:n - 1]
+    components = {k: Sparse.of(level) for k, level in
+                  composite_chain(gens[n - 1].dense(), low, low, "+", ctx)}
+    return VectorOperator(n, _restriction_blocks(ambient), low,
+                          tuple(components[k] for k in range(1, n + 1)))
 
 
 def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row,
@@ -221,21 +202,17 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElemen
     for bt in vop.blocks:
         for bs in vop.blocks:
             key = (bt.label.m_top, bt.s, bs.label.m_top, bs.s)
-            raw_max = max(
-                float(np.abs(vop.components[k][
-                    bt.offset:bt.offset + bt.dim,
-                    bs.offset:bs.offset + bs.dim]).max())
-                for k in range(vop.n))
+            pair = [v.block(bt.offset, bt.offset + bt.dim,
+                            bs.offset, bs.offset + bs.dim)
+                    for v in vop.components]
+            raw_max = max(float(np.abs(b).max()) for b in pair)
             if not _pair_admissible(bt, bs):
                 forbidden[key] = raw_max
                 continue
             tables = _inverse_blocks(bs.label, bt.label.m_top, ctx)
             denoms = np.concatenate(
                 [tables[k].ravel() for k in range(1, vop.n + 1)])
-            raws = np.concatenate(
-                [v[bt.offset:bt.offset + bt.dim,
-                   bs.offset:bs.offset + bs.dim].ravel()
-                 for v in vop.components])
+            raws = np.concatenate([b.ravel() for b in pair])
             weight = np.abs(denoms) ** 2
             total = float(weight.sum())
             if total == 0.0:

@@ -8,6 +8,13 @@ package (the limit oracle reuses only pattern bookkeeping).  The dense
 relation and covariance checks form every product as a dense matrix
 product, the reference for the package's checks on the nonzeros; they
 share only the report type, its residual rule and `max_entry`.
+
+The dense generator block and the dense canonical chain are the package's
+earlier dense code paths, kept as bit-identity references for its storage
+as nonzeros: the block fills a zero matrix column by column from the
+memoised column actions, and the chain keeps every generator and level as a
+dense array.  `scaled` and `direct_sum` build vector operators for tests
+from the dense forms.
 """
 
 import cmath
@@ -18,7 +25,8 @@ import numpy as np
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, GTPattern,
                       IrrepLabel, QContext, RelationReport, ValidationError,
                       VectorOperator, enumerate_patterns)
-from qso_reps.reps import max_entry, relation_residual
+from qso_reps.reps import Sparse, _column_action, max_entry, relation_residual
+from qso_reps.wigner import AmbientBlock
 
 _EPS = 1e-12
 
@@ -198,13 +206,15 @@ def dense_check_vector_operator(vop: VectorOperator,
         raise ValidationError(f"inconsistent operator shapes: {shapes}")
     sq = ctx.q ** 0.5
     entries = []
+    gens = [m.dense() for m in vop.gens]
+    comps = [m.dense() for m in vop.components]
 
     def qcomm(x, y):
         return sq * (x @ y) - (y @ x) / sq
 
     for j in range(2, vop.n + 1):
-        t = vop.gens[j - 2]
-        low, high = vop.components[j - 2], vop.components[j - 1]
+        t = gens[j - 2]
+        low, high = comps[j - 2], comps[j - 1]
         lhs = qcomm(low, t)
         entries.append(relation_residual(
             f"raise({j})", lhs - high, max(max_entry(lhs, high), 1.0), ctx))
@@ -212,11 +222,82 @@ def dense_check_vector_operator(vop: VectorOperator,
         entries.append(relation_residual(
             f"lower({j})", lhs - low, max(max_entry(lhs, low), 1.0), ctx))
     for j in range(2, vop.n + 1):
-        t = vop.gens[j - 2]
+        t = gens[j - 2]
         for k in range(1, vop.n + 1):
             if k in (j - 1, j):
                 continue
-            ab, ba = t @ vop.components[k - 1], vop.components[k - 1] @ t
+            ab, ba = t @ comps[k - 1], comps[k - 1] @ t
             entries.append(relation_residual(
                 f"far({j},{k})", ab - ba, max(max_entry(ab, ba), 1.0), ctx))
     return RelationReport(tuple(entries))
+
+
+def dense_generator_block(label: IrrepLabel, k: int,
+                          rows: dict[GTPattern, int], cols,
+                          ctx: QContext) -> np.ndarray:
+    """`reps.generator_block` as a dense matrix: each column's memoised
+    action added into a zero matrix."""
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    sign = label.eps_for(k + 1) if label.kind == NONCLASSICAL else 1
+    for col, xi in enumerate(cols):
+        steps, diag = _column_action(label, k, xi, ctx)
+        for j, step, c in steps:
+            row = rows.get(xi.replace(k, j, step))
+            if row is not None:
+                mat[row, col] += c
+        if diag is not None:
+            row = rows.get(xi)
+            if row is not None:
+                mat[row, col] += sign * diag
+    return mat
+
+
+def dense_generator(label: IrrepLabel, k: int, ctx: QContext) -> np.ndarray:
+    """Generator k of `label` as a dense matrix."""
+    basis = enumerate_patterns(label)
+    return dense_generator_block(label, k, basis.index, basis.patterns, ctx)
+
+
+def dense_canonical_operator(ambient: IrrepLabel, ctx: QContext
+                             ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Generators 1..n-1 and components 1..n of
+    `wigner.canonical_vector_operator`, by the "+" q-commutator chain on
+    dense generators with every level kept."""
+    n = ambient.n - 1
+    gens = [dense_generator(ambient, k, ctx) for k in range(1, ambient.n)]
+    qs, qsi = ctx.q ** 0.5, ctx.q ** -0.5
+    current = gens[n - 1]
+    out = {n: current}
+    for lv in range(n - 1, 0, -1):
+        current = qs * (gens[lv - 1] @ current) - qsi * (current @ gens[lv - 1])
+        out[lv] = current
+    return gens[:n - 1], [out[k] for k in range(1, n + 1)]
+
+
+def scaled(vop: VectorOperator, c: complex) -> VectorOperator:
+    """`vop` with every component times c."""
+    return VectorOperator(vop.n, vop.blocks, vop.gens,
+                          tuple(Sparse.of(c * v.dense()) for v in vop.components))
+
+
+def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
+    """Block-diagonal sum; multiplicity indices are renumbered per label."""
+    if a.n != b.n:
+        raise ValidationError("direct sum needs equal ranks")
+    da = a.dim
+
+    def diag(x, y):
+        x, y = x.dense(), y.dense()
+        return Sparse.of(np.block([[x, np.zeros((da, y.shape[0]))],
+                                   [np.zeros((y.shape[0], da)), y]]))
+
+    gens = tuple(diag(ga, gb) for ga, gb in zip(a.gens, b.gens))
+    comps = tuple(diag(va, vb) for va, vb in zip(a.components, b.components))
+    seen: dict[IrrepLabel, int] = {}
+    blocks: list[AmbientBlock] = []
+    for blk in a.blocks + tuple(
+            AmbientBlock(x.label, x.s, x.offset + da, x.basis) for x in b.blocks):
+        s = seen.get(blk.label, 0)
+        seen[blk.label] = s + 1
+        blocks.append(AmbientBlock(blk.label, s, blk.offset, blk.basis))
+    return VectorOperator(a.n, tuple(blocks), gens, comps)

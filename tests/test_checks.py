@@ -135,13 +135,14 @@ def test_inf_in_a_generator_fails_the_relations():
 def test_inf_in_a_component_fails_the_covariance():
     ctx = QContext(1.3)
     vop = canonical_vector_operator(SO5_NC, ctx)
-    gens = tuple(g.real for g in vop.gens)
+    gens = tuple(Sparse.of(g.dense().real) for g in vop.gens)
     infinite = 0
     with np.errstate(all="ignore"):
         for k in range(vop.n):
-            components = [v.real.copy() for v in vop.components]
+            components = [v.dense().real for v in vop.components]
             components[k][0, 0] = np.inf
-            bad = VectorOperator(vop.n, vop.blocks, gens, tuple(components))
+            bad = VectorOperator(vop.n, vop.blocks, gens,
+                                 tuple(map(Sparse.of, components)))
             report = check_vector_operator(bad, ctx)
             assert_no_pass_on_non_finite(report)
             assert not dense_check_vector_operator(bad, ctx).all_passed

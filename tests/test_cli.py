@@ -362,7 +362,40 @@ def test_covariance_failure_in_reduced_exits_one(capsys, monkeypatch):
                          "--ambient-weight", "1,0", "--q", "1.3")
     assert code == 1 and out == ""
     assert err == ("numerical check failed: canonical operator failed "
-                   "covariance check at q=1.3: max residual 1.000e+00\n")
+                   "covariance check at q=1.3: raise(2) residual 1.000e+00 "
+                   "scale 1.000e+00 tolerance 2.000e-09\n")
+
+
+def test_corrupted_operator_names_each_failing_relation(capsys, monkeypatch):
+    import re
+
+    import qso_reps.cli as cli
+    from qso_reps import VectorOperator, check_vector_operator
+    from qso_reps.qarith import QContext
+
+    real = cli.canonical_vector_operator
+    bad = {}
+
+    def corrupt(ambient, ctx):
+        vop = real(ambient, ctx)
+        components = (vop.components[0] * (1 + 1e-3),) + vop.components[1:]
+        bad["vop"] = VectorOperator(vop.n, vop.blocks, vop.gens, components)
+        return bad["vop"]
+
+    monkeypatch.setattr(cli, "canonical_vector_operator", corrupt)
+    code, out, err = run(capsys, "reduced", "--algebra", "3",
+                         "--ambient-weight", "2,1", "--q", "1.3")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    prefix = ("numerical check failed: canonical operator failed covariance "
+              "check at q=1.3: ")
+    assert err.startswith(prefix)
+    ctx = QContext(1.3)
+    failures = check_vector_operator(bad["vop"], ctx).failures()
+    assert [e.relation for e in failures] == ["raise(2)", "lower(2)"]
+    listed = re.findall(r"(\S+) residual (\S+) scale (\S+) tolerance ([^;\s]+)",
+                        err[len(prefix):])
+    assert listed == [(e.relation, f"{e.residual:.3e}", f"{e.scale:.3e}",
+                       f"{ctx.tolerance(e.scale):.3e}") for e in failures]
 
 
 def test_failed_intertwiner_in_decompose_exits_one(capsys, monkeypatch):

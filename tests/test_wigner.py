@@ -6,15 +6,16 @@ import pytest
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       ValidationError, canonical_vector_operator,
-                      check_vector_operator, direct_sum, enumerate_patterns,
+                      check_vector_operator, enumerate_patterns,
                       primed_inverse_cgc, reduced_matrix_elements, top_cgc)
 from qso_reps.cgc import admissible_aux, top_table
 from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import branch_rows, extend_pattern
-from qso_reps.reps import (build_all_generators, composite_chain,
+from qso_reps.reps import (Sparse, build_all_generators, composite_chain,
                            generator_block)
 from qso_reps.wigner import (FactorizationError, VectorOperator,
                              _inverse_blocks)
+from oracles import direct_sum, scaled
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -39,7 +40,7 @@ def test_canonical_operator_covariance(vop_so5_21):
     assert report.all_passed
     assert report.max_residual <= 1e-10
     # the covariance scale has a floor of 1
-    small = check_vector_operator(vop_so5_21.scaled(1e-6), CTX)
+    small = check_vector_operator(scaled(vop_so5_21, 1e-6), CTX)
     assert small.all_passed and {e.scale for e in small.entries} == {1.0}
 
 
@@ -47,7 +48,7 @@ def test_canonical_operator_last_component_is_top_generator(vop_so5_vec):
     from qso_reps import build_all_generators
     amb = lab(5, (2, 0))
     gens = build_all_generators(amb, CTX)
-    assert np.array_equal(vop_so5_vec.components[3], gens[3].mat)
+    assert np.array_equal(vop_so5_vec.components[3].dense(), gens[3].mat)
 
 
 def test_block_sparsity_matches_branching(vop_so5_21):
@@ -55,8 +56,8 @@ def test_block_sparsity_matches_branching(vop_so5_21):
     for bt in vop.blocks:
         for bs in vop.blocks:
             raw = max(float(np.abs(
-                vop.components[k][bt.offset:bt.offset + bt.dim,
-                                  bs.offset:bs.offset + bs.dim]).max())
+                vop.components[k].dense()[bt.offset:bt.offset + bt.dim,
+                                          bs.offset:bs.offset + bs.dim]).max())
                 for k in range(vop.n))
             allowed = bt.label.m_top in branch_rows(bs.label.m_top, 4, CLASSICAL)
             if not allowed:
@@ -103,10 +104,11 @@ def _plus_chain_tables(src_label, m_tgt, aux, ctx):
     top = generator_block(aux, aux.n - 1,
                           {extend_pattern(aux.m_top, p): i
                            for i, p in enumerate(rows)},
-                          [extend_pattern(aux.m_top, p) for p in cols], ctx)
-    chain = composite_chain(
-        top, [g.mat for g in build_all_generators(target, ctx)],
-        [g.mat for g in build_all_generators(src_label, ctx)], "+", ctx)
+                          [extend_pattern(aux.m_top, p) for p in cols],
+                          ctx).dense()
+    chain = dict(composite_chain(
+        top, [g.nonzeros for g in build_all_generators(target, ctx)],
+        [g.nonzeros for g in build_all_generators(src_label, ctx)], "+", ctx))
     closed = top_table(src_label, target, ctx)
     j, i = np.argwhere(closed.T)[0]
     mu = top[j, i] / closed[i, j]
@@ -157,7 +159,7 @@ def test_reduced_elements_so5_vector(vop_so5_vec):
 
 def test_reduced_elements_scaling_covariance(vop_so5_vec):
     red = reduced_matrix_elements(vop_so5_vec, CTX)
-    red3 = reduced_matrix_elements(vop_so5_vec.scaled(3.0), CTX)
+    red3 = reduced_matrix_elements(scaled(vop_so5_vec, 3.0), CTX)
     for key, entry in red.entries.items():
         assert red3.entries[key].value == pytest.approx(3.0 * entry.value)
         assert red3.entries[key].residual <= 1e-10
@@ -198,10 +200,11 @@ def test_multiplicity_mixing_matrix(vop_so5_vec):
     base = vop_so5_vec
     mix = np.array([[1.0, 2.0], [0.0, 1.0]])
     eye = np.eye(2)
-    gens = tuple(np.kron(eye, g) for g in base.gens)
-    comps = tuple(np.kron(mix, v) for v in base.components)
+    gens = tuple(np.kron(eye, g.dense()) for g in base.gens)
+    comps = tuple(np.kron(mix, v.dense()) for v in base.components)
     doubled = direct_sum(base, base)
-    vop = VectorOperator(base.n, doubled.blocks, gens, comps)
+    vop = VectorOperator(base.n, doubled.blocks, tuple(map(Sparse.of, gens)),
+                         tuple(map(Sparse.of, comps)))
     assert check_vector_operator(vop, CTX).all_passed
     red = reduced_matrix_elements(vop, CTX)
     base_red = reduced_matrix_elements(base, CTX)
@@ -231,6 +234,7 @@ def test_trivial_ambient_chain_closes_on_zero():
     label = lab(2, (0,))
     basis = enumerate_patterns(label)
     z = np.zeros((1, 1), dtype=complex)
+    z = Sparse.of(z)
     vop = VectorOperator(2, (), (z,), (z, z))
     assert check_vector_operator(vop, CTX).all_passed
 
@@ -245,9 +249,10 @@ def test_covariance_degenerates_to_commutator_near_one():
     ctx = QContext(1.0 + 1e-6)
     vop = canonical_vector_operator(lab(4, (2, 0)), ctx)
     for j in range(2, vop.n + 1):
-        t = vop.gens[j - 2]
-        plain = vop.components[j - 2] @ t - t @ vop.components[j - 2]
-        assert np.abs(plain - vop.components[j - 1]).max() <= 1e-4
+        t, low, high = (m.dense() for m in (vop.gens[j - 2],
+                                            *vop.components[j - 2:j]))
+        plain = low @ t - t @ low
+        assert np.abs(plain - high).max() <= 1e-4
 
 
 def test_distinct_eps_sectors_are_silent():
@@ -264,12 +269,12 @@ def test_distinct_eps_sectors_are_silent():
 
 
 def test_factorization_error_on_broken_operator(vop_so5_vec):
-    comps = list(vop_so5_vec.components)
+    comps = [v.dense() for v in vop_so5_vec.components]
     broken = comps[0].copy()
     broken[0, -1] += 0.5
     broken_vop = VectorOperator(vop_so5_vec.n, vop_so5_vec.blocks,
                                 vop_so5_vec.gens,
-                                tuple([broken] + comps[1:]))
+                                tuple(map(Sparse.of, [broken] + comps[1:])))
     with pytest.raises(FactorizationError):
         reduced_matrix_elements(broken_vop, CTX)
 
@@ -288,9 +293,10 @@ def test_reduced_json_shape(capsys):
 
 def test_nan_matrix_element_fails_the_factorisation():
     vop = canonical_vector_operator(lab(4, (4, 2)), CTX)
-    components = [c.copy() for c in vop.components]
+    components = [c.dense() for c in vop.components]
     components[0][0, 0] = np.nan
-    broken = VectorOperator(vop.n, vop.blocks, vop.gens, tuple(components))
+    broken = VectorOperator(vop.n, vop.blocks, vop.gens,
+                            tuple(map(Sparse.of, components)))
     with pytest.raises(FactorizationError):
         reduced_matrix_elements(broken, CTX)
 
