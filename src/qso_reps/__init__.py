@@ -19,8 +19,7 @@ from .tensorprod import (embedding_check, sl_generators, tensor_action,
 from .cgc import (CGCTable, Intertwiner, assemble_decomposition, recurse_cgc,
                   so2_coupled_vectors, so3_cgc, top_cgc)
 from .wigner import (ReducedElements, VectorOperator, canonical_vector_operator,
-                     check_vector_operator, primed_inverse_cgc,
-                     reduced_matrix_elements)
+                     check_vector_operator, reduced_matrix_elements)
 
 __all__ = [
     "HalfInt", "QContext", "ValidationError", "SingularCoefficientError",
@@ -36,8 +35,7 @@ __all__ = [
     "CGCTable", "Intertwiner", "assemble_decomposition", "recurse_cgc",
     "so2_coupled_vectors", "so3_cgc", "top_cgc",
     "ReducedElements", "VectorOperator", "canonical_vector_operator",
-    "check_vector_operator", "primed_inverse_cgc",
-    "reduced_matrix_elements",
+    "check_vector_operator", "reduced_matrix_elements",
 ]
 
 __version__ = "0.1.0"

@@ -5,13 +5,17 @@ by q-commutators, which `check_vector_operator` evaluates on the nonzeros.
 Restricting an irrep of the next-rank algebra to the chain subalgebra
 yields the canonical example: the composite generators bridging level n+1
 to each slot k.  Operators and generators are held as nonzeros
-(`reps.Sparse`); the q-commutator chain that makes the components runs on
-dense arrays, whose BLAS products fix the printed digits, and each level is
-stored as nonzeros as soon as the chain yields it.  Matrix elements of any
-vector operator between two irreducible blocks factor into a block-pair
-constant times a primed inverse coupling coefficient; the constant is
-extracted by a weighted least-squares fit and the factorisation is
-certified by the spread of the individual ratios.
+(`reps.Sparse`).  The ambient's generators below the top one are
+block-diagonal over the restriction blocks (the Gel'fand-Tsetlin
+restriction), so the q-commutator chain that makes the components runs on
+the dense arrays of one block pair at a time and no d x d array is formed;
+its BLAS products fix the printed digits, and each level is stored as
+nonzeros as soon as the chain yields it.  Matrix elements of any vector
+operator between two irreducible blocks factor into a block-pair constant
+times a primed inverse coupling coefficient; the constant is extracted by a
+weighted least-squares fit and the factorisation is certified by the
+spread of the individual ratios.  A block pair that branching forbids must
+hold no stored nonzero, which is decided exactly.
 
 The primed inverse coefficients of a block pair are the (target, source)
 blocks of the "+" composite generators of an auxiliary next-rank irrep over
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qarith import QContext, ValidationError
-from .gtbasis import (NONCLASSICAL, BasisIndex, GTPattern, IrrepLabel,
-                      branch_rows, enumerate_patterns, pattern_parity)
+from .gtbasis import (NONCLASSICAL, BasisIndex, IrrepLabel, branch_rows,
+                      enumerate_patterns, pattern_parity)
 from .reps import (RelationReport, RelationResidual, Sparse,
-                   build_all_generators, combine, composite_chain,
-                   sparse_residual)
+                   build_all_generators, build_generator, combine,
+                   composite_chain, sparse_residual)
 from .cgc import Row, admissible_aux
 
 
@@ -115,45 +119,70 @@ def _restriction_blocks(ambient: IrrepLabel) -> tuple[AmbientBlock, ...]:
     return tuple(blocks)
 
 
+def _place(d: int, parts) -> Sparse:
+    """The d x d matrix whose nonzeros are the (row offset, column offset,
+    nonzeros) parts, which lie on disjoint blocks; `combine` sorts them into
+    row-major order and copies each value."""
+    none = np.zeros(0, dtype=np.intp)
+    return combine((1, Sparse((d, d), none, none, np.zeros(0, dtype=complex))),
+                   *((1, Sparse((d, d), nz.rows + r0, nz.cols + c0, nz.vals))
+                     for r0, c0, nz in parts))
+
+
 def canonical_vector_operator(ambient: IrrepLabel, ctx: QContext) -> VectorOperator:
     """The vector operator carried by a next-rank irrep restricted to the
     chain subalgebra: component k is the composite generator from level n+1
-    down to slot k, component n the plain top generator.  Each ambient
-    generator is dense only for the chain step that reads it."""
+    down to slot k, component n the plain top generator.
+
+    Generators 1..n-1 of the ambient are block-diagonal over the restriction
+    blocks, each block being that block's own rank-n generator, so the chain
+    runs block pair by block pair on the pairs where the top generator has a
+    nonzero, and no d x d array is formed.  The dense chain's products add
+    only exact zeros outside a pair, so each entry gets the same nonzero
+    terms in the same order; only the sign of an exact zero part may differ,
+    and + 0.0 makes it +0.0, as the dense chain leaves it.  BLAS promises no
+    order of summation, so the tests and the command-line sweep compare the
+    bits with the dense chain."""
     if ambient.n < 3:
         raise ValidationError(f"an ambient needs rank >= 3, got n={ambient.n}")
     n = ambient.n - 1
-    gens = tuple(g.nonzeros for g in build_all_generators(ambient, ctx))
-    low = gens[:n - 1]
-    components = {k: Sparse.of(level) for k, level in
-                  composite_chain(gens[n - 1].dense(), low, low, "+", ctx)}
-    return VectorOperator(n, _restriction_blocks(ambient), low,
-                          tuple(components[k] for k in range(1, n + 1)))
+    blocks = _restriction_blocks(ambient)
+    top = build_generator(ambient, n, ctx).nonzeros
+    gens = [[g.nonzeros for g in build_all_generators(b.label, ctx)]
+            for b in blocks]
+    starts = [b.offset for b in blocks]
+    bt_of = np.searchsorted(starts, top.rows, side="right") - 1
+    bs_of = np.searchsorted(starts, top.cols, side="right") - 1
+    parts: dict[int, list] = {k: [] for k in range(1, n + 1)}
+    # bincount, not np.unique, which imports numpy.ma (1.6 MB of RSS)
+    touched = np.bincount(bt_of * len(blocks) + bs_of,
+                          minlength=len(blocks) ** 2)
+    for pair in np.flatnonzero(touched):
+        t, s = divmod(int(pair), len(blocks))
+        bt, bs = blocks[t], blocks[s]
+        block = top.block(bt.offset, bt.offset + bt.dim,
+                          bs.offset, bs.offset + bs.dim)
+        # a small product's edge kernel can leave -0.0 where the dense
+        # product leaves +0.0
+        for k, level in composite_chain(block, gens[t], gens[s], "+", ctx):
+            parts[k].append((bt.offset, bs.offset, Sparse.of(level + 0.0)))
+    d = top.shape[0]
+    low = tuple(_place(d, [(b.offset, b.offset, g[k])
+                           for b, g in zip(blocks, gens)])
+                for k in range(n - 1))
+    return VectorOperator(n, blocks, low,
+                          tuple(_place(d, parts[k]) for k in range(1, n + 1)))
 
 
 def _inverse_blocks(src_label: IrrepLabel, m_tgt: Row,
                     ctx: QContext) -> dict[int, np.ndarray]:
-    """Slot k (1..n) -> target x source primed inverse coefficients."""
+    """Slot k (1..n) -> target x source primed inverse coefficients; each
+    forward block is dropped as soon as its table is made."""
     _, ((_, mu, blocks),) = admissible_aux(src_label, m_tgt, ctx)
     gauge = np.outer(pattern_parity(src_label.with_weight(m_tgt)),
                      pattern_parity(src_label))
-    return {k: (-1) ** (src_label.n - k) * gauge * (block / mu).T
-            for k, block in blocks.items()}
-
-
-def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,
-                       eps: tuple[int, ...] | None, ctx: QContext) -> complex:
-    """Primed inverse coupling coefficient of vector slot k (1..n) between a
-    target tableau and a source tableau, from the first admissible
-    auxiliary weight; the value does not depend on the choice."""
-    n = src.n
-    src_label = IrrepLabel(n, kind, src.row(n), eps)
-    m_tgt = tgt.row(n)
-    if m_tgt not in branch_rows(src.row(n), n, kind):
-        return 0j
-    table = _inverse_blocks(src_label, m_tgt, ctx)[k]
-    return table[enumerate_patterns(src_label.with_weight(m_tgt)).position(tgt),
-                 enumerate_patterns(src_label).position(src)]
+    return {k: (-1) ** (src_label.n - k) * gauge * (blocks.pop(k) / mu).T
+            for k in list(blocks)}
 
 
 @dataclass(frozen=True)
@@ -167,15 +196,17 @@ class ReducedEntry:
 @dataclass(frozen=True)
 class ReducedElements:
     """Block-pair constants of the factorisation, with per-pair residuals
-    and the largest raw matrix element found on forbidden block pairs."""
+    and the largest raw matrix element on each forbidden block pair (0.0:
+    a stored nonzero there is a FactorizationError)."""
 
     entries: dict
     forbidden: dict
 
 
 class FactorizationError(RuntimeError):
-    """Ratios of matrix elements to inverse coefficients failed to be
-    constant on an admissible block pair."""
+    """A block pair breaks the factorisation: a forbidden pair holds a
+    nonzero, or the ratios of matrix elements to inverse coefficients fail
+    to be constant on an admissible pair."""
 
 
 def _pair_admissible(tgt: AmbientBlock, src: AmbientBlock) -> bool:
@@ -189,51 +220,77 @@ def _pair_admissible(tgt: AmbientBlock, src: AmbientBlock) -> bool:
 _RATIO_TOL = 1e-8
 
 
+def _stored(v: Sparse, bt: AmbientBlock, bs: AmbientBlock) -> np.ndarray:
+    """The stored values of `v` on the block pair (bt, bs): the rows are a
+    contiguous run of entries, found by bisection."""
+    lo, hi = np.searchsorted(v.rows, (bt.offset, bt.offset + bt.dim))
+    cols = v.cols[lo:hi]
+    return v.vals[lo:hi][(cols >= bs.offset) & (cols < bs.offset + bs.dim)]
+
+
+def _fit_pair(vop: VectorOperator, bt: AmbientBlock, bs: AmbientBlock,
+              key: tuple, ctx: QContext) -> ReducedEntry:
+    """The reduced matrix element of one admissible block pair.  The primed
+    inverse coefficients and the raw elements each fill one array, slot by
+    slot; every array of the pair is freed on return."""
+    tables = _inverse_blocks(bs.label, bt.label.m_top, ctx)
+    denoms = np.empty((vop.n, bt.dim, bs.dim), dtype=complex)
+    for k in range(1, vop.n + 1):
+        denoms[k - 1] = tables.pop(k)
+    raws = np.empty_like(denoms)
+    for k, v in enumerate(vop.components):
+        raws[k] = v.block(bt.offset, bt.offset + bt.dim,
+                          bs.offset, bs.offset + bs.dim)
+    denoms, raws = denoms.ravel(), raws.ravel()
+    absd = np.abs(denoms)
+    total = float((absd ** 2).sum())
+    if total == 0.0:
+        raise FactorizationError(
+            f"all inverse coefficients vanish on pair {key}")
+    value = complex(np.vdot(denoms, raws) / total)
+    dmax = float(absd.max())
+    live = absd > _RATIO_TOL * dmax
+    ratios = raws[live] / denoms[live]
+    ref = max(abs(value), float(np.abs(ratios).max()), 1e-300)
+    residual = float(np.abs(ratios - value).max()) / ref
+    absr = np.abs(raws)
+    silent = ~live
+    silent_raw = float(absr[silent].max()) if silent.any() else 0.0
+    tol = ctx.tolerance(max(float(absr.max()), 1.0))
+    if not silent_raw <= tol:
+        raise FactorizationError(
+            f"matrix element {silent_raw:.3e} outside the inverse-"
+            f"coefficient support on pair {key}")
+    if not (residual <= _RATIO_TOL or abs(value) * dmax <= tol):
+        raise FactorizationError(
+            f"non-constant ratio on pair {key}: spread {residual:.3e}")
+    first = complex(ratios[0]) if ratios.size else 0j
+    return ReducedEntry(value, residual, first, int(live.sum()))
+
+
 def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElements:
     """Extract the reduced matrix element of every admissible ordered block
     pair and certify the factorisation.
 
-    Raises FactorizationError when the ratio of a raw matrix element to its
-    primed inverse coefficient deviates from the fitted constant by more
-    than `_RATIO_TOL` (relative), or when a value it reads is NaN.
+    Raises FactorizationError when a component stores a nonzero on a
+    forbidden block pair (decided exactly, from the nonzeros, with no
+    threshold), when the ratio of a raw matrix element to its primed inverse
+    coefficient deviates from the fitted constant by more than `_RATIO_TOL`
+    (relative), or when a value it reads is NaN.
     """
     entries: dict = {}
     forbidden: dict = {}
     for bt in vop.blocks:
         for bs in vop.blocks:
             key = (bt.label.m_top, bt.s, bs.label.m_top, bs.s)
-            pair = [v.block(bt.offset, bt.offset + bt.dim,
-                            bs.offset, bs.offset + bs.dim)
-                    for v in vop.components]
-            raw_max = max(float(np.abs(b).max()) for b in pair)
-            if not _pair_admissible(bt, bs):
-                forbidden[key] = raw_max
+            if _pair_admissible(bt, bs):
+                entries[key] = _fit_pair(vop, bt, bs, key, ctx)
                 continue
-            tables = _inverse_blocks(bs.label, bt.label.m_top, ctx)
-            denoms = np.concatenate(
-                [tables[k].ravel() for k in range(1, vop.n + 1)])
-            raws = np.concatenate([b.ravel() for b in pair])
-            weight = np.abs(denoms) ** 2
-            total = float(weight.sum())
-            if total == 0.0:
+            stored = np.concatenate([_stored(v, bt, bs)
+                                     for v in vop.components])
+            raw = float(np.abs(stored).max()) if stored.size else 0.0
+            forbidden[key] = raw
+            if raw != 0.0:  # NaN too
                 raise FactorizationError(
-                    f"all inverse coefficients vanish on pair {key}")
-            value = complex(np.vdot(denoms, raws) / total)
-            dmax = float(np.abs(denoms).max())
-            live = np.abs(denoms) > _RATIO_TOL * dmax
-            ratios = raws[live] / denoms[live]
-            ref = max(abs(value), float(np.abs(ratios).max()), 1e-300)
-            residual = float(np.abs(ratios - value).max()) / ref
-            silent = ~live
-            silent_raw = float(np.abs(raws[silent]).max()) if silent.any() else 0.0
-            tol = ctx.tolerance(max(float(np.abs(raws).max()), 1.0))
-            if not silent_raw <= tol:
-                raise FactorizationError(
-                    f"matrix element {silent_raw:.3e} outside the inverse-"
-                    f"coefficient support on pair {key}")
-            if not (residual <= _RATIO_TOL or abs(value) * dmax <= tol):
-                raise FactorizationError(
-                    f"non-constant ratio on pair {key}: spread {residual:.3e}")
-            first = complex(ratios[0]) if ratios.size else 0j
-            entries[key] = ReducedEntry(value, residual, first, int(live.sum()))
+                    f"matrix element {raw:.3e} on forbidden pair {key}")
     return ReducedElements(entries, forbidden)

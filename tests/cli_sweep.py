@@ -21,11 +21,19 @@ on every label of rank 2..6 of both families (eps all-plus and
 alternating, entries in [-3, 3], dimension at most 60), `reduced` as JSON
 and as CSV on every such ambient of rank 3..6, eight labels at q = 1e±6,
 1e±20, 5, 0.2, 1.0001 and 1e60, and the known edge and malformed inputs.  The process limits its own
-address space so that a runaway allocation fails at once.  The file name
-does not start with `test_`, so pytest does not collect it.
+address space so that a runaway allocation fails at once.  It pins
+`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1 before
+numpy is imported: a threaded BLAS reduction can move the last digit of a
+printed value, so two sweeps compare only at the same thread count.  The
+file name does not start with `test_`, so pytest does not collect it.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import contextlib
 import csv

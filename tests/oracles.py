@@ -14,7 +14,9 @@ earlier dense code paths, kept as bit-identity references for its storage
 as nonzeros: the block fills a zero matrix column by column from the
 memoised column actions, and the chain keeps every generator and level as a
 dense array.  `scaled` and `direct_sum` build vector operators for tests
-from the dense forms.
+from the dense forms, and `with_forbidden_entry` corrupts one.
+`primed_inverse_cgc` reads one primed inverse coefficient from the
+package's tables.
 """
 
 import cmath
@@ -25,8 +27,9 @@ import numpy as np
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, GTPattern,
                       IrrepLabel, QContext, RelationReport, ValidationError,
                       VectorOperator, enumerate_patterns)
+from qso_reps.gtbasis import branch_rows
 from qso_reps.reps import Sparse, _column_action, max_entry, relation_residual
-from qso_reps.wigner import AmbientBlock
+from qso_reps.wigner import AmbientBlock, _inverse_blocks, _pair_admissible
 
 _EPS = 1e-12
 
@@ -301,3 +304,30 @@ def direct_sum(a: VectorOperator, b: VectorOperator) -> VectorOperator:
         seen[blk.label] = s + 1
         blocks.append(AmbientBlock(blk.label, s, blk.offset, blk.basis))
     return VectorOperator(a.n, tuple(blocks), gens, comps)
+
+
+def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,
+                       eps: tuple[int, ...] | None, ctx: QContext) -> complex:
+    """Primed inverse coupling coefficient of vector slot k (1..n) between a
+    target tableau and a source tableau, from the first admissible
+    auxiliary weight; the value does not depend on the choice."""
+    n = src.n
+    src_label = IrrepLabel(n, kind, src.row(n), eps)
+    m_tgt = tgt.row(n)
+    if m_tgt not in branch_rows(src.row(n), n, kind):
+        return 0j
+    table = _inverse_blocks(src_label, m_tgt, ctx)[k]
+    return table[enumerate_patterns(src_label.with_weight(m_tgt)).position(tgt),
+                 enumerate_patterns(src_label).position(src)]
+
+
+def with_forbidden_entry(vop: VectorOperator, value: complex):
+    """`vop` with `value` added to component 1 at the first entry of its
+    first forbidden block pair, and that pair's key."""
+    bt, bs = next((bt, bs) for bt in vop.blocks for bs in vop.blocks
+                  if not _pair_admissible(bt, bs))
+    first = vop.components[0].dense()
+    first[bt.offset, bs.offset] += value
+    key = (bt.label.m_top, bt.s, bs.label.m_top, bs.s)
+    return VectorOperator(vop.n, vop.blocks, vop.gens,
+                          (Sparse.of(first),) + vop.components[1:]), key

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import qso_reps.cgc
 import qso_reps.reps
 import qso_reps.tensorprod
+import qso_reps.wigner
 from qso_reps import (CLASSICAL, NONCLASSICAL, GTPattern, HalfInt, IrrepLabel,
                       QContext, RelationReport, ValidationError,
                       assemble_decomposition, branching_set,
@@ -318,6 +319,7 @@ def test_no_auxiliary_irrep_is_built(monkeypatch):
         return real(label, k, ctx)
 
     monkeypatch.setattr(qso_reps.reps, "build_generator", spy)
+    monkeypatch.setattr(qso_reps.wigner, "build_generator", spy)
     # a q no other test uses, so no generator comes from a cache
     ctx = QContext(1.2345)
     for label in (lab(5, (4, 2)), lab(4, (3, 1), NONCLASSICAL, (1, -1, 1))):
@@ -325,10 +327,15 @@ def test_no_auxiliary_irrep_is_built(monkeypatch):
         assemble_decomposition(label, ctx)
         assert built and {b.n for b in built} == {label.n}
     for ambient in (lab(5, (4, 2)), lab(5, (3, 1), NONCLASSICAL, (1, 1, -1, 1))):
+        built.clear()
         vop = canonical_vector_operator(ambient, ctx)
+        # the ambient's top generator, then the restriction blocks' own
+        assert built[0] == ambient and ambient not in built[1:]
+        assert built[1:] and {b.n for b in built[1:]} == {ambient.n - 1}
         built.clear()
         reduced_matrix_elements(vop, ctx)
-        assert built and {b.n for b in built} == {ambient.n - 1}
+        # the primed inverse tables find the blocks' generators cached
+        assert not built
 
 
 def test_decompose_forms_no_product_space_generator(monkeypatch):

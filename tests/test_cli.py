@@ -366,6 +366,26 @@ def test_covariance_failure_in_reduced_exits_one(capsys, monkeypatch):
                    "scale 1.000e+00 tolerance 2.000e-09\n")
 
 
+def test_forbidden_pair_entry_in_reduced_exits_one(capsys, monkeypatch):
+    import qso_reps.cli as cli
+    from oracles import with_forbidden_entry
+
+    real = cli.canonical_vector_operator
+    keys = []
+
+    def corrupt(ambient, ctx):
+        broken, key = with_forbidden_entry(real(ambient, ctx), 1e-30)
+        keys.append(key)
+        return broken
+
+    monkeypatch.setattr(cli, "canonical_vector_operator", corrupt)
+    code, out, err = run(capsys, "reduced", "--algebra", "4",
+                         "--ambient-weight", "2,1", "--q", "1.3")
+    assert code == 1 and out == "" and len(keys) == 1
+    assert err == ("numerical check failed: matrix element 1.000e-30 on "
+                   f"forbidden pair {keys[0]}\n")
+
+
 def test_corrupted_operator_names_each_failing_relation(capsys, monkeypatch):
     import re
 

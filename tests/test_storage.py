@@ -4,10 +4,12 @@ Their dense forms must be bit-identical to the dense references of
 `oracles.py` (the generator block filled column by column, and the "+"
 chain run on dense generators with every level kept), with no zero of
 negative sign, and no matrix of the full d x d size may be kept in the
-context's cache or in a vector operator.
+context's cache or in a vector operator, nor allocated while the canonical
+operator is built.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ AMBIENTS = [
     lab(4, (4, 2)), lab(4, (3, 1), NC, (1, -1, 1)),
     lab(5, (3, 1)), lab(5, (3, 1), NC, (1, 1, 1, 1)),
     lab(6, (6, 4, 2)), lab(6, (7, 3, 1), NC, (-1, -1, -1, -1, 1)),
-    lab(7, (4, 2, 2)),
+    lab(7, (4, 2, 2)), lab(7, (5, 3, 1), NC, (1, -1, 1, -1, 1, -1)),
 ]
 
 
@@ -123,3 +125,20 @@ def test_no_dense_matrix_is_kept():
     for holder in (ctx.cache, vop):
         sizes = [a.size for a in held_arrays(holder)]
         assert sizes and max(sizes) < d * d
+
+
+def test_operator_allocates_less_than_one_dense_matrix():
+    # the chain runs block pair by block pair, so building the operator,
+    # with its generators and the nonzeros it returns, needs less memory
+    # than one d x d complex matrix
+    ambient = lab(7, (6, 2, 2))
+    d = dimension(ambient)
+    assert d == 616
+    ctx = QContext(1.3)
+    tracemalloc.start()
+    try:
+        canonical_vector_operator(ambient, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 16, peak

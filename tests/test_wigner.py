@@ -7,7 +7,7 @@ import pytest
 from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       ValidationError, canonical_vector_operator,
                       check_vector_operator, enumerate_patterns,
-                      primed_inverse_cgc, reduced_matrix_elements, top_cgc)
+                      reduced_matrix_elements, top_cgc)
 from qso_reps.cgc import admissible_aux, top_table
 from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import branch_rows, extend_pattern
@@ -15,7 +15,8 @@ from qso_reps.reps import (Sparse, build_all_generators, composite_chain,
                            generator_block)
 from qso_reps.wigner import (FactorizationError, VectorOperator,
                              _inverse_blocks)
-from oracles import direct_sum, scaled
+from oracles import (direct_sum, primed_inverse_cgc, scaled,
+                     with_forbidden_entry)
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -277,6 +278,22 @@ def test_factorization_error_on_broken_operator(vop_so5_vec):
                                 tuple(map(Sparse.of, [broken] + comps[1:])))
     with pytest.raises(FactorizationError):
         reduced_matrix_elements(broken_vop, CTX)
+
+
+def test_forbidden_pair_entry_is_a_factorization_error(vop_so5_21):
+    # decided from the stored nonzeros: an entry far below every float
+    # tolerance still fails, and the covariance check does not see it
+    red = reduced_matrix_elements(vop_so5_21, CTX)
+    assert red.forbidden and set(red.forbidden.values()) == {0.0}
+    broken, key = with_forbidden_entry(vop_so5_21, 1e-30)
+    assert key in red.forbidden
+    assert check_vector_operator(broken, CTX).all_passed
+    with pytest.raises(FactorizationError) as exc:
+        reduced_matrix_elements(broken, CTX)
+    assert str(exc.value) == f"matrix element 1.000e-30 on forbidden pair {key}"
+    broken, _ = with_forbidden_entry(vop_so5_21, np.nan)
+    with pytest.raises(FactorizationError, match="nan on forbidden pair"):
+        reduced_matrix_elements(broken, CTX)
 
 
 def test_reduced_json_shape(capsys):
