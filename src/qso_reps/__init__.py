@@ -16,8 +16,8 @@ from .reps import (GeneratorMatrix, RelationReport, build_all_generators,
                    coeff_nonclassical, composite_generator)
 from .tensorprod import (embedding_check, sl_generators, tensor_action,
                          tensor_rep, vector_rep)
-from .cgc import (CGCTable, Intertwiner, assemble_decomposition, recurse_cgc,
-                  so2_coupled_vectors, so3_cgc, top_cgc)
+from .cgc import (CGCTable, Intertwiner, assemble_decomposition,
+                  so2_coupled_vectors, top_cgc)
 from .wigner import (ReducedElements, VectorOperator, canonical_vector_operator,
                      check_vector_operator, reduced_matrix_elements)
 
@@ -32,8 +32,8 @@ __all__ = [
     "coeff_nonclassical", "composite_generator",
     "embedding_check", "sl_generators", "tensor_action", "tensor_rep",
     "vector_rep",
-    "CGCTable", "Intertwiner", "assemble_decomposition", "recurse_cgc",
-    "so2_coupled_vectors", "so3_cgc", "top_cgc",
+    "CGCTable", "Intertwiner", "assemble_decomposition",
+    "so2_coupled_vectors", "top_cgc",
     "ReducedElements", "VectorOperator", "canonical_vector_operator",
     "check_vector_operator", "reduced_matrix_elements",
 ]

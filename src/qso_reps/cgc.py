@@ -243,26 +243,6 @@ def _slot_tables(blocks: dict[int, np.ndarray], mu: complex,
             for k in range(2, max(n, 3))}
 
 
-def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
-                eps: tuple[int, ...] | None, ctx: QContext) -> complex:
-    """One Clebsch-Gordan coefficient for vector slot k (an int 3..n, or one
-    of "+"/"-"), target tableau against source tableau, read from the table
-    of the first admissible auxiliary weight (the value does not depend on
-    the choice); slot n is the closed form.
-    """
-    n = src.n
-    label = IrrepLabel(n, kind, src.row(n), eps)
-    if cgc_is_zero(k, src, tgt, kind):
-        return 0j
-    closed, ((_, mu, blocks),) = admissible_aux(label, tgt.row(n), ctx)
-    i = enumerate_patterns(label).position(src)
-    j = enumerate_patterns(label.with_weight(tgt.row(n))).position(tgt)
-    if k == n:
-        return closed[i, j]
-    _, values = _slot_tables(blocks, mu, ctx)[2 if k in ("+", "-") else k]
-    return values[i, j]
-
-
 @dataclass(frozen=True)
 class CGCTable:
     """All coupling coefficients feeding one target block: `slots` maps each
@@ -414,67 +394,3 @@ def decomposition_rank(blocks: dict[Row, Intertwiner], ctx: QContext) -> int:
     stacked = np.hstack([it.matrix for it in blocks.values()])
     svals = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(svals > ctx.tol * svals[0] * max(stacked.shape)))
-
-
-def so3_cgc(l: HalfInt, l_target: HalfInt, kind: str,
-            eps: tuple[int, ...] | None, ctx: QContext) -> dict[HalfInt, tuple[complex, complex, complex]]:
-    """Explicit rank-3 coupling table: weight m of the target block maps to
-    (alpha, beta, gamma) = coefficients of the raising, middle and lowering
-    product vectors.
-
-    alpha pairs the source line m-1, beta the source line m, gamma the source
-    line m+1.  One table serves both families; the nonclassical one differs
-    in five places: m runs over 1/2..l_target only, the normalisation takes
-    differences q^m - q^-m where the classical one takes sums, alpha on the
-    self-coupled block changes sign, the middle self-coupling reads [m]+ for
-    [m], and at m = 1/2 alpha instead pairs the source line 1/2 through the
-    lowering vector.
-
-    Written out from the closed forms, independently of `top_cgc` and the
-    auxiliary-weight recursion, so it can serve as their reference.
-    """
-    targets = branch_rows((l,), 3, kind)
-    if (l_target,) not in targets:
-        raise ValidationError(f"target {l_target} not admissible for l={l}")
-    plus = kind == NONCLASSICAL
-    s = -1.0 if plus else 1.0
-
-    def qp(a):
-        return q_power(a, ctx)
-
-    def br(a):
-        return q_bracket(a, ctx)
-
-    def dm(m):
-        return ((qp(m) + s * qp(-m)) * (qp(m + 1) + s * qp(-m - 1))) ** -0.5
-
-    out: dict[HalfInt, tuple[complex, complex, complex]] = {}
-    m = HALF if plus else -l_target
-    while m <= l_target:
-        if plus and m == HALF:
-            # lowering-vector coefficients paired with the source line 1/2
-            e3, brp = eps[1], q_bracket_plus(HALF, ctx)
-            if l_target == l + 1:
-                a = -qp(l) * brp * e3 * cmath.sqrt(br(l + HALF) * br(l + HALF + 1))
-            elif l_target == l:
-                a = -qp(-1) * brp * e3 * br(l + HALF)
-            else:
-                a = qp(-l - 1) * brp * e3 * cmath.sqrt(br(l - HALF) * br(l + HALF))
-        elif l_target == l + 1:
-            a = qp(l - m + HALF) * dm(m - 1) * cmath.sqrt(br(l + m) * br(l + m + 1))
-        elif l_target == l:
-            a = -s * qp(-m - HALF) * dm(m - 1) * cmath.sqrt(br(l + m) * br(l - m + 1))
-        else:
-            a = -qp(-l - m - HALF) * dm(m - 1) * cmath.sqrt(br(l - m) * br(l - m + 1))
-        if l_target == l + 1:
-            b = cmath.sqrt(br(l - m + 1) * br(l + m + 1))
-            g = -qp(l + m + HALF) * dm(m) * cmath.sqrt(br(l - m) * br(l - m + 1))
-        elif l_target == l:
-            b = complex(q_bracket_plus(m, ctx) if plus else br(m))
-            g = -qp(m - HALF) * dm(m) * cmath.sqrt(br(l - m) * br(l + m + 1))
-        else:
-            b = cmath.sqrt(br(l - m) * br(l + m))
-            g = qp(-l + m - HALF) * dm(m) * cmath.sqrt(br(l + m) * br(l + m + 1))
-        out[m] = (a, b, g)
-        m = m + 1
-    return out

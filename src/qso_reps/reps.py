@@ -413,8 +413,10 @@ def relation_residual(relation: str, diff: np.ndarray, scale: float,
                       ctx: QContext) -> RelationResidual:
     """Report entry for one relation: the Frobenius norm of `diff` (the two
     sides' difference, or its nonzero entries), passed when it and `scale`
-    are finite and it is at most `ctx.tolerance(scale)`."""
-    residual = float(np.linalg.norm(diff))
+    are finite and it is at most `ctx.tolerance(scale)`.  The norm is a
+    numpy (pairwise, single-threaded) sum of the squared real and imaginary
+    parts, not a BLAS dot product, whose split follows the thread count."""
+    residual = math.sqrt(float(np.sum(diff.real ** 2) + np.sum(diff.imag ** 2)))
     return RelationResidual(relation, residual, scale,
                             math.isfinite(residual) and math.isfinite(scale)
                             and residual <= ctx.tolerance(scale))

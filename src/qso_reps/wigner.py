@@ -13,9 +13,11 @@ its BLAS products fix the printed digits, and each level is stored as
 nonzeros as soon as the chain yields it.  Matrix elements of any vector
 operator between two irreducible blocks factor into a block-pair constant
 times a primed inverse coupling coefficient; the constant is extracted by a
-weighted least-squares fit and the factorisation is certified by the
-spread of the individual ratios.  A block pair that branching forbids must
-hold no stored nonzero, which is decided exactly.
+weighted least-squares fit on the pair's nonzeros, whose two sums are
+exactly rounded (`math.fsum`), so the value does not depend on the order
+of the terms and no threaded BLAS reduction enters it; the factorisation
+is certified by the spread of the individual ratios.  A block pair that
+branching forbids must hold no stored nonzero, which is decided exactly.
 
 The primed inverse coefficients of a block pair are the (target, source)
 blocks of the "+" composite generators of an auxiliary next-rank irrep over
@@ -28,6 +30,7 @@ the entry (i, j) of mu is 1: D skips the top row, the rest is shared there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ from .gtbasis import (NONCLASSICAL, BasisIndex, IrrepLabel, branch_rows,
                       enumerate_patterns, pattern_parity)
 from .reps import (RelationReport, RelationResidual, Sparse,
                    build_all_generators, build_generator, combine,
-                   composite_chain, sparse_residual)
+                   composite_chain, max_entry, sparse_residual)
 from .cgc import Row, admissible_aux
 
 
@@ -220,43 +223,68 @@ def _pair_admissible(tgt: AmbientBlock, src: AmbientBlock) -> bool:
 _RATIO_TOL = 1e-8
 
 
-def _stored(v: Sparse, bt: AmbientBlock, bs: AmbientBlock) -> np.ndarray:
-    """The stored values of `v` on the block pair (bt, bs): the rows are a
-    contiguous run of entries, found by bisection."""
+def _stored(v: Sparse, bt: AmbientBlock, bs: AmbientBlock) -> Sparse:
+    """The stored entries of `v` on the block pair (bt, bs), at positions
+    within the pair: the rows are a contiguous run of entries, found by
+    bisection."""
     lo, hi = np.searchsorted(v.rows, (bt.offset, bt.offset + bt.dim))
     cols = v.cols[lo:hi]
-    return v.vals[lo:hi][(cols >= bs.offset) & (cols < bs.offset + bs.dim)]
+    keep = (cols >= bs.offset) & (cols < bs.offset + bs.dim)
+    return Sparse((bt.dim, bs.dim), v.rows[lo:hi][keep] - bt.offset,
+                  cols[keep] - bs.offset, v.vals[lo:hi][keep])
+
+
+def _fsum(*terms: np.ndarray) -> float:
+    """The exactly rounded sum of all `terms` (`math.fsum`), so it depends
+    neither on their order nor on zero terms; NaN when a term is not finite
+    or the sum overflows, where `math.fsum` would raise."""
+    x = np.concatenate(terms)
+    if not np.isfinite(x).all():
+        return math.nan
+    try:
+        return math.fsum(x.tolist())
+    except OverflowError:
+        return math.nan
 
 
 def _fit_pair(vop: VectorOperator, bt: AmbientBlock, bs: AmbientBlock,
               key: tuple, ctx: QContext) -> ReducedEntry:
-    """The reduced matrix element of one admissible block pair.  The primed
-    inverse coefficients and the raw elements each fill one array, slot by
-    slot; every array of the pair is freed on return."""
+    """The reduced matrix element of one admissible block pair, on the
+    nonzeros: the primed inverse coefficients d and the raw elements r are
+    keyed slot-major, then row-major, and a raw that is not stored is 0.
+    The two sums of the least-squares value, sum |d|^2 and sum conj(d) r,
+    run over the real products of the nonzero d only."""
+    size = bt.dim * bs.dim
+
+    def keys_of(parts):
+        return np.concatenate([k * size + nz.rows * bs.dim + nz.cols
+                               for k, nz in enumerate(parts)])
+
     tables = _inverse_blocks(bs.label, bt.label.m_top, ctx)
-    denoms = np.empty((vop.n, bt.dim, bs.dim), dtype=complex)
-    for k in range(1, vop.n + 1):
-        denoms[k - 1] = tables.pop(k)
-    raws = np.empty_like(denoms)
-    for k, v in enumerate(vop.components):
-        raws[k] = v.block(bt.offset, bt.offset + bt.dim,
-                          bs.offset, bs.offset + bs.dim)
-    denoms, raws = denoms.ravel(), raws.ravel()
-    absd = np.abs(denoms)
-    total = float((absd ** 2).sum())
+    coeffs = [Sparse.of(tables.pop(k)) for k in range(1, vop.n + 1)]
+    keys, d = keys_of(coeffs), np.concatenate([nz.vals for nz in coeffs])
+    total = _fsum(d.real * d.real, d.imag * d.imag)
     if total == 0.0:
         raise FactorizationError(
             f"all inverse coefficients vanish on pair {key}")
-    value = complex(np.vdot(denoms, raws) / total)
+    stored = [_stored(v, bt, bs) for v in vop.components]
+    raw, raw_keys = np.concatenate([nz.vals for nz in stored]), keys_of(stored)
+    at = np.minimum(np.searchsorted(keys, raw_keys), keys.size - 1)
+    hit = keys[at] == raw_keys
+    r = np.zeros_like(d)
+    r[at[hit]] = raw[hit]
+    value = complex(math.nan, math.nan)
+    if np.isfinite(raw).all():  # else some product is not, if only 0 * inf
+        value = complex(_fsum(d.real * r.real, d.imag * r.imag) / total,
+                        _fsum(d.real * r.imag, -d.imag * r.real) / total)
+    absd = np.abs(d)
     dmax = float(absd.max())
     live = absd > _RATIO_TOL * dmax
-    ratios = raws[live] / denoms[live]
+    ratios = r[live] / d[live]
     ref = max(abs(value), float(np.abs(ratios).max()), 1e-300)
     residual = float(np.abs(ratios - value).max()) / ref
-    absr = np.abs(raws)
-    silent = ~live
-    silent_raw = float(absr[silent].max()) if silent.any() else 0.0
-    tol = ctx.tolerance(max(float(absr.max()), 1.0))
+    silent_raw = max_entry(raw[~(hit & live[at])])
+    tol = ctx.tolerance(max(max_entry(raw), 1.0))
     if not silent_raw <= tol:
         raise FactorizationError(
             f"matrix element {silent_raw:.3e} outside the inverse-"
@@ -276,7 +304,7 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElemen
     forbidden block pair (decided exactly, from the nonzeros, with no
     threshold), when the ratio of a raw matrix element to its primed inverse
     coefficient deviates from the fitted constant by more than `_RATIO_TOL`
-    (relative), or when a value it reads is NaN.
+    (relative), or when a value it reads is not finite.
     """
     entries: dict = {}
     forbidden: dict = {}
@@ -286,9 +314,8 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElemen
             if _pair_admissible(bt, bs):
                 entries[key] = _fit_pair(vop, bt, bs, key, ctx)
                 continue
-            stored = np.concatenate([_stored(v, bt, bs)
-                                     for v in vop.components])
-            raw = float(np.abs(stored).max()) if stored.size else 0.0
+            raw = max_entry(np.concatenate([_stored(v, bt, bs).vals
+                                            for v in vop.components]))
             forbidden[key] = raw
             if raw != 0.0:  # NaN too
                 raise FactorizationError(

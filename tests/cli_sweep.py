@@ -15,25 +15,34 @@ Run it once per checkout and diff the two outputs, for example
     PYTHONPATH=src python tests/cli_sweep.py > after.tsv
     PYTHONPATH=../parent/src python tests/cli_sweep.py > before.tsv
 
+The one optional argument is the BLAS thread count, 1 by default:
+
+    PYTHONPATH=src python tests/cli_sweep.py 2 > after-2.tsv
+
 It imports whichever `qso_reps` is first on `PYTHONPATH`.  The calls cover
 `dim`, `check` as CSV, `decompose` as JSON, as CSV and at `--q 0.35,2.5`
 on every label of rank 2..6 of both families (eps all-plus and
 alternating, entries in [-3, 3], dimension at most 60), `reduced` as JSON
 and as CSV on every such ambient of rank 3..6, eight labels at q = 1e±6,
 1e±20, 5, 0.2, 1.0001 and 1e60, and the known edge and malformed inputs.  The process limits its own
-address space so that a runaway allocation fails at once.  It pins
-`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1 before
-numpy is imported: a threaded BLAS reduction can move the last digit of a
-printed value, so two sweeps compare only at the same thread count.  The
+address space so that a runaway allocation fails at once.  It sets
+`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to the
+thread count before numpy is imported (to 1 when the module is imported):
+a threaded BLAS product can move the last digit of a printed value, so
+sweeps at two thread counts show whether any output depends on it.  The
 file name does not start with `test_`, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
+THREADS = sys.argv[1] if __name__ == "__main__" and len(sys.argv) > 1 else "1"
+if not THREADS.isdigit() or int(THREADS) < 1:
+    sys.exit(f"usage: cli_sweep.py [BLAS threads >= 1], got {THREADS!r}")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ[_var] = THREADS
 
 import contextlib
 import csv

@@ -14,9 +14,15 @@ earlier dense code paths, kept as bit-identity references for its storage
 as nonzeros: the block fills a zero matrix column by column from the
 memoised column actions, and the chain keeps every generator and level as a
 dense array.  `scaled` and `direct_sum` build vector operators for tests
-from the dense forms, and `with_forbidden_entry` corrupts one.
+from the dense forms, and `with_entry` and `with_forbidden_entry` corrupt
+one.
 `primed_inverse_cgc` reads one primed inverse coefficient from the
-package's tables.
+package's tables, and `recurse_cgc` one coupling coefficient.
+`dense_fit_pair` is the earlier reduced-element fit on dense (slot, target,
+source) arrays with BLAS dot products, the reference for the fit on the
+nonzeros with exactly rounded sums.  `so3_cgc` is the explicit rank-3
+coupling table, written out from the closed forms as a reference for
+`top_cgc` and the auxiliary-weight recursion.
 """
 
 import cmath
@@ -25,11 +31,14 @@ from itertools import product
 import numpy as np
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, GTPattern,
-                      IrrepLabel, QContext, RelationReport, ValidationError,
-                      VectorOperator, enumerate_patterns)
-from qso_reps.gtbasis import branch_rows
+                      HalfInt, IrrepLabel, QContext, RelationReport,
+                      ValidationError, VectorOperator, enumerate_patterns,
+                      q_bracket, q_bracket_plus, q_power)
+from qso_reps.cgc import _slot_tables, admissible_aux, cgc_is_zero
+from qso_reps.gtbasis import HALF, branch_rows
 from qso_reps.reps import Sparse, _column_action, max_entry, relation_residual
-from qso_reps.wigner import AmbientBlock, _inverse_blocks, _pair_admissible
+from qso_reps.wigner import (_RATIO_TOL, AmbientBlock, FactorizationError,
+                             ReducedEntry, _inverse_blocks, _pair_admissible)
 
 _EPS = 1e-12
 
@@ -321,6 +330,15 @@ def primed_inverse_cgc(k: int, tgt: GTPattern, src: GTPattern, kind: str,
                  enumerate_patterns(src_label).position(src)]
 
 
+def with_entry(vop: VectorOperator, i: int, j: int,
+               value: complex) -> VectorOperator:
+    """`vop` with entry (i, j) of component 1 set to `value`."""
+    first = vop.components[0].dense()
+    first[i, j] = value
+    return VectorOperator(vop.n, vop.blocks, vop.gens,
+                          (Sparse.of(first),) + vop.components[1:])
+
+
 def with_forbidden_entry(vop: VectorOperator, value: complex):
     """`vop` with `value` added to component 1 at the first entry of its
     first forbidden block pair, and that pair's key."""
@@ -331,3 +349,127 @@ def with_forbidden_entry(vop: VectorOperator, value: complex):
     key = (bt.label.m_top, bt.s, bs.label.m_top, bs.s)
     return VectorOperator(vop.n, vop.blocks, vop.gens,
                           (Sparse.of(first),) + vop.components[1:]), key
+
+
+def dense_fit_pair(vop: VectorOperator, bt: AmbientBlock, bs: AmbientBlock,
+                   key: tuple, ctx: QContext) -> ReducedEntry:
+    """`wigner._fit_pair` on dense arrays: the primed inverse coefficients
+    and the raw elements each fill one (slot, target, source) array, and the
+    two sums are BLAS dot products over every entry."""
+    tables = _inverse_blocks(bs.label, bt.label.m_top, ctx)
+    denoms = np.empty((vop.n, bt.dim, bs.dim), dtype=complex)
+    for k in range(1, vop.n + 1):
+        denoms[k - 1] = tables.pop(k)
+    raws = np.empty_like(denoms)
+    for k, v in enumerate(vop.components):
+        raws[k] = v.block(bt.offset, bt.offset + bt.dim,
+                          bs.offset, bs.offset + bs.dim)
+    denoms, raws = denoms.ravel(), raws.ravel()
+    absd = np.abs(denoms)
+    total = float((absd ** 2).sum())
+    if total == 0.0:
+        raise FactorizationError(
+            f"all inverse coefficients vanish on pair {key}")
+    value = complex(np.vdot(denoms, raws) / total)
+    dmax = float(absd.max())
+    live = absd > _RATIO_TOL * dmax
+    ratios = raws[live] / denoms[live]
+    ref = max(abs(value), float(np.abs(ratios).max()), 1e-300)
+    residual = float(np.abs(ratios - value).max()) / ref
+    absr = np.abs(raws)
+    silent = ~live
+    silent_raw = float(absr[silent].max()) if silent.any() else 0.0
+    tol = ctx.tolerance(max(float(absr.max()), 1.0))
+    if not silent_raw <= tol:
+        raise FactorizationError(
+            f"matrix element {silent_raw:.3e} outside the inverse-"
+            f"coefficient support on pair {key}")
+    if not (residual <= _RATIO_TOL or abs(value) * dmax <= tol):
+        raise FactorizationError(
+            f"non-constant ratio on pair {key}: spread {residual:.3e}")
+    first = complex(ratios[0]) if ratios.size else 0j
+    return ReducedEntry(value, residual, first, int(live.sum()))
+
+
+def recurse_cgc(k: "int | str", tgt: GTPattern, src: GTPattern, kind: str,
+                eps: tuple[int, ...] | None, ctx: QContext) -> complex:
+    """One Clebsch-Gordan coefficient for vector slot k (an int 3..n, or one
+    of "+"/"-"), target tableau against source tableau, read from the table
+    of the first admissible auxiliary weight (the value does not depend on
+    the choice); slot n is the closed form.
+    """
+    n = src.n
+    label = IrrepLabel(n, kind, src.row(n), eps)
+    if cgc_is_zero(k, src, tgt, kind):
+        return 0j
+    closed, ((_, mu, blocks),) = admissible_aux(label, tgt.row(n), ctx)
+    i = enumerate_patterns(label).position(src)
+    j = enumerate_patterns(label.with_weight(tgt.row(n))).position(tgt)
+    if k == n:
+        return closed[i, j]
+    _, values = _slot_tables(blocks, mu, ctx)[2 if k in ("+", "-") else k]
+    return values[i, j]
+
+
+def so3_cgc(l: HalfInt, l_target: HalfInt, kind: str,
+            eps: tuple[int, ...] | None, ctx: QContext) -> dict[HalfInt, tuple[complex, complex, complex]]:
+    """Explicit rank-3 coupling table: weight m of the target block maps to
+    (alpha, beta, gamma) = coefficients of the raising, middle and lowering
+    product vectors.
+
+    alpha pairs the source line m-1, beta the source line m, gamma the source
+    line m+1.  One table serves both families; the nonclassical one differs
+    in five places: m runs over 1/2..l_target only, the normalisation takes
+    differences q^m - q^-m where the classical one takes sums, alpha on the
+    self-coupled block changes sign, the middle self-coupling reads [m]+ for
+    [m], and at m = 1/2 alpha instead pairs the source line 1/2 through the
+    lowering vector.
+
+    Written out from the closed forms, independently of `top_cgc` and the
+    auxiliary-weight recursion, so it can serve as their reference.
+    """
+    targets = branch_rows((l,), 3, kind)
+    if (l_target,) not in targets:
+        raise ValidationError(f"target {l_target} not admissible for l={l}")
+    plus = kind == NONCLASSICAL
+    s = -1.0 if plus else 1.0
+
+    def qp(a):
+        return q_power(a, ctx)
+
+    def br(a):
+        return q_bracket(a, ctx)
+
+    def dm(m):
+        return ((qp(m) + s * qp(-m)) * (qp(m + 1) + s * qp(-m - 1))) ** -0.5
+
+    out: dict[HalfInt, tuple[complex, complex, complex]] = {}
+    m = HALF if plus else -l_target
+    while m <= l_target:
+        if plus and m == HALF:
+            # lowering-vector coefficients paired with the source line 1/2
+            e3, brp = eps[1], q_bracket_plus(HALF, ctx)
+            if l_target == l + 1:
+                a = -qp(l) * brp * e3 * cmath.sqrt(br(l + HALF) * br(l + HALF + 1))
+            elif l_target == l:
+                a = -qp(-1) * brp * e3 * br(l + HALF)
+            else:
+                a = qp(-l - 1) * brp * e3 * cmath.sqrt(br(l - HALF) * br(l + HALF))
+        elif l_target == l + 1:
+            a = qp(l - m + HALF) * dm(m - 1) * cmath.sqrt(br(l + m) * br(l + m + 1))
+        elif l_target == l:
+            a = -s * qp(-m - HALF) * dm(m - 1) * cmath.sqrt(br(l + m) * br(l - m + 1))
+        else:
+            a = -qp(-l - m - HALF) * dm(m - 1) * cmath.sqrt(br(l - m) * br(l - m + 1))
+        if l_target == l + 1:
+            b = cmath.sqrt(br(l - m + 1) * br(l + m + 1))
+            g = -qp(l + m + HALF) * dm(m) * cmath.sqrt(br(l - m) * br(l - m + 1))
+        elif l_target == l:
+            b = complex(q_bracket_plus(m, ctx) if plus else br(m))
+            g = -qp(m - HALF) * dm(m) * cmath.sqrt(br(l - m) * br(l + m + 1))
+        else:
+            b = cmath.sqrt(br(l - m) * br(l + m))
+            g = qp(-l + m - HALF) * dm(m) * cmath.sqrt(br(l + m) * br(l + m + 1))
+        out[m] = (a, b, g)
+        m = m + 1
+    return out

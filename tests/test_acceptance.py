@@ -17,11 +17,10 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       canonical_vector_operator, check_relations,
                       check_vector_operator, dimension, embedding_check,
                       enumerate_patterns, q_bracket, q_bracket_plus,
-                      reduced_matrix_elements, so3_cgc,
-                      tensor_rep)
+                      reduced_matrix_elements, tensor_rep)
 from qso_reps.cgc import admissible_aux, decomposition_rank
 
-from oracles import classical_limit_generator
+from oracles import classical_limit_generator, so3_cgc
 
 H = HalfInt
 QS = (0.7, 1.3)

@@ -17,8 +17,8 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GTPattern, HalfInt, IrrepLabel,
                       assemble_decomposition, branching_set,
                       build_all_generators, canonical_vector_operator,
                       composite_generator, dimension, enumerate_patterns,
-                      q_bracket, recurse_cgc, reduced_matrix_elements,
-                      so2_coupled_vectors, so3_cgc, tensor_rep, top_cgc)
+                      q_bracket, reduced_matrix_elements,
+                      so2_coupled_vectors, tensor_rep, top_cgc)
 from qso_reps.cgc import (AuxSearchError, DecompositionError, _block_mu,
                           _slot_tables, admissible_aux, aux_blocks,
                           aux_candidates, cgc_is_zero, decomposition_rank,
@@ -26,6 +26,7 @@ from qso_reps.cgc import (AuxSearchError, DecompositionError, _block_mu,
 from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import covers, rows_below, weight_is_dominant
 from qso_reps.wigner import _inverse_blocks
+from oracles import recurse_cgc, so3_cgc
 
 H = HalfInt
 CTX = QContext(1.3)

@@ -5,7 +5,8 @@ Their dense forms must be bit-identical to the dense references of
 chain run on dense generators with every level kept), with no zero of
 negative sign, and no matrix of the full d x d size may be kept in the
 context's cache or in a vector operator, nor allocated while the canonical
-operator is built.
+operator is built.  The reduced-element fit works on each block pair's
+nonzeros and stacks no dense blocks.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       build_all_generators, canonical_vector_operator,
-                      dimension)
+                      dimension, reduced_matrix_elements)
 from qso_reps.reps import Sparse
 from oracles import dense_canonical_operator, dense_generator
 
@@ -142,3 +143,20 @@ def test_operator_allocates_less_than_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < d * d * 16, peak
+
+
+def test_fit_allocates_less_than_two_stacks_of_blocks():
+    # the fit holds one pair's slot tables and their nonzeros, never an
+    # n x bt x bs stack of coefficients and one of raw elements: its peak
+    # stays below 2 n D^2 complex entries, D the largest block dimension
+    ambient = lab(7, (6, 2, 2))
+    ctx = QContext(1.3)
+    vop = canonical_vector_operator(ambient, ctx)
+    big = max(b.dim for b in vop.blocks)
+    tracemalloc.start()
+    try:
+        reduced_matrix_elements(vop, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * vop.n * big * big * 16, (peak, vop.n, big)

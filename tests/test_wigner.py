@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from qso_reps.cli import main as cli_main
 from qso_reps.gtbasis import branch_rows, extend_pattern
 from qso_reps.reps import (Sparse, build_all_generators, composite_chain,
                            generator_block)
+import qso_reps.wigner as wigner
 from qso_reps.wigner import (FactorizationError, VectorOperator,
-                             _inverse_blocks)
-from oracles import (direct_sum, primed_inverse_cgc, scaled,
-                     with_forbidden_entry)
+                             _inverse_blocks, _pair_admissible)
+from oracles import (dense_fit_pair, direct_sum, primed_inverse_cgc, scaled,
+                     with_entry, with_forbidden_entry)
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -329,3 +331,129 @@ def test_vanishing_inverse_coefficients_are_a_factorization_error(monkeypatch):
     with pytest.raises(FactorizationError,
                        match="all inverse coefficients vanish on pair"):
         reduced_matrix_elements(vop, ctx)
+
+
+NC = NONCLASSICAL
+FIT_AMBIENTS = [
+    lab(4, (4, 2)), lab(4, (3, 1), NC, (1, -1, 1)),
+    lab(5, (4, 2)), lab(5, (5, 1), NC, (1, -1, 1, -1)),
+    lab(6, (6, 4, 2)), lab(6, (7, 3, 1), NC, (-1, -1, -1, -1, 1)),
+]
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z], dtype=complex).tobytes()
+
+
+def _admissible_pairs(vop):
+    for bt in vop.blocks:
+        for bs in vop.blocks:
+            if _pair_admissible(bt, bs):
+                yield bt, bs, (bt.label.m_top, bt.s, bs.label.m_top, bs.s)
+
+
+@pytest.mark.parametrize("ambient", FIT_AMBIENTS, ids=repr)
+def test_fit_matches_the_dense_oracle(ambient):
+    for q in (0.7592, 1.3, 2.5):
+        ctx = QContext(q)
+        vop = canonical_vector_operator(ambient, ctx)
+        red = reduced_matrix_elements(vop, ctx)
+        want = {key: dense_fit_pair(vop, bt, bs, key, ctx)
+                for bt, bs, key in _admissible_pairs(vop)}
+        assert list(red.entries) == list(want)
+        for key, got in red.entries.items():
+            ref = want[key]
+            assert got.contributing == ref.contributing, (q, key)
+            assert _bits(got.first_ratio) == _bits(ref.first_ratio), (q, key)
+            assert abs(got.value - ref.value) <= 1e-15 * abs(ref.value), (q, key)
+            # the residual is already relative to the pair's largest ratio
+            assert abs(got.residual - ref.residual) <= 1e-15, (q, key)
+
+
+@pytest.mark.parametrize("ambient", FIT_AMBIENTS[4:], ids=repr)
+def test_fit_value_does_not_depend_on_the_order_of_the_terms(ambient,
+                                                             monkeypatch):
+    # shuffle the basis of both blocks of the largest pair, in the operator
+    # and in the coefficient tables: the fit meets the same nonzeros in
+    # another order, and the exactly rounded sums give the same bits
+    ctx = QContext(1.3)
+    vop = canonical_vector_operator(ambient, ctx)
+    bt, bs, key = max(_admissible_pairs(vop),
+                      key=lambda p: p[0].dim * p[1].dim)
+    value = wigner._fit_pair(vop, bt, bs, key, ctx).value
+    rng = np.random.default_rng(0)
+    perm_t, perm_s = rng.permutation(bt.dim), rng.permutation(bs.dim)
+    rows, cols = np.arange(vop.dim), np.arange(vop.dim)
+    rows[bt.offset:bt.offset + bt.dim] = bt.offset + perm_t
+    cols[bs.offset:bs.offset + bs.dim] = bs.offset + perm_s
+    shuffled = VectorOperator(vop.n, vop.blocks, vop.gens, tuple(
+        Sparse.of(v.dense()[rows][:, cols]) for v in vop.components))
+    real = wigner._inverse_blocks
+    monkeypatch.setattr(wigner, "_inverse_blocks", lambda *args: {
+        k: table[perm_t][:, perm_s] for k, table in real(*args).items()})
+    got = wigner._fit_pair(shuffled, bt, bs, key, ctx)
+    assert _bits(got.value) == _bits(value)
+
+
+def _admissible_entries(vop, ctx):
+    """The first admissible pair, and one position of component 1 on it
+    where its slot-1 coefficient is nonzero and one where it is 0."""
+    bt, bs, key = next(_admissible_pairs(vop))
+    table = _inverse_blocks(bs.label, bt.label.m_top, ctx)[1]
+    live, silent = (np.argwhere(mask)[0] + (bt.offset, bs.offset)
+                    for mask in (table != 0, table == 0))
+    return key, live, silent
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(np.inf, np.inf),
+                                   np.nan])
+def test_non_finite_raw_element_is_a_factorization_error(vop_so5_21, value):
+    key, *positions = _admissible_entries(vop_so5_21, CTX)
+    for i, j in positions:
+        broken = with_entry(vop_so5_21, i, j, value)
+        # as the command line runs its checks
+        with np.errstate(all="ignore"), pytest.raises(
+                FactorizationError, match=re.escape(str(key))):
+            reduced_matrix_elements(broken, CTX)
+
+
+def test_overflowing_sum_is_a_factorization_error(vop_so5_21):
+    # finite products whose exact sum overflows: math.fsum would raise
+    # OverflowError, the fit fails as on any value that is not finite
+    bt, bs, key = next(_admissible_pairs(vop_so5_21))
+    table = _inverse_blocks(bs.label, bt.label.m_top, CTX)[1]
+    broken = vop_so5_21
+    big = np.argwhere(np.abs(table) >= np.abs(table).max() / 2)[:2]
+    for i, j in big:  # each product conj(d) r is |d| * 1e308
+        d = table[i, j]
+        broken = with_entry(broken, bt.offset + i, bs.offset + j,
+                            1e308 * d / abs(d))
+    assert abs(table[tuple(big[0])]) + abs(table[tuple(big[1])]) > 1.8
+    with np.errstate(all="ignore"), pytest.raises(
+            FactorizationError, match=re.escape(str(key))):
+        reduced_matrix_elements(broken, CTX)
+
+
+def test_infinite_raw_element_in_reduced_exits_one(capsys, monkeypatch):
+    # the covariance check is bypassed, so the fit meets the inf
+    import qso_reps.cli as cli
+
+    real = cli.canonical_vector_operator
+    keys = []
+
+    def corrupt(ambient, ctx):
+        vop = real(ambient, ctx)
+        key, live, _ = _admissible_entries(vop, ctx)
+        keys.append(key)
+        return with_entry(vop, *live, np.inf)
+
+    monkeypatch.setattr(cli, "canonical_vector_operator", corrupt)
+    monkeypatch.setattr(cli, "check_vector_operator",
+                        lambda vop, ctx: check_vector_operator(
+                            canonical_vector_operator(lab(5, (4, 2)), ctx), ctx))
+    code = cli_main(["reduced", "--algebra", "4", "--ambient-weight", "2,1",
+                     "--q", "1.3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and len(keys) == 1
+    assert err == ("numerical check failed: non-constant ratio on pair "
+                   f"{keys[0]}: spread nan\n")
