@@ -14,8 +14,7 @@ from .gtbasis import (CLASSICAL, NONCLASSICAL, BasisIndex, BranchTarget,
 from .reps import (GeneratorMatrix, RelationReport, build_all_generators,
                    build_generator, check_relations, coeff_classical,
                    coeff_nonclassical, composite_generator)
-from .tensorprod import (embedding_check, sl_generators, tensor_action,
-                         tensor_rep, vector_rep)
+from .tensorprod import tensor_action, tensor_rep
 from .cgc import (CGCTable, Intertwiner, assemble_decomposition,
                   so2_coupled_vectors, top_cgc)
 from .wigner import (ReducedElements, VectorOperator, canonical_vector_operator,
@@ -30,8 +29,7 @@ __all__ = [
     "GeneratorMatrix", "RelationReport", "build_all_generators",
     "build_generator", "check_relations", "coeff_classical",
     "coeff_nonclassical", "composite_generator",
-    "embedding_check", "sl_generators", "tensor_action", "tensor_rep",
-    "vector_rep",
+    "tensor_action", "tensor_rep",
     "CGCTable", "Intertwiner", "assemble_decomposition",
     "so2_coupled_vectors", "top_cgc",
     "ReducedElements", "VectorOperator", "canonical_vector_operator",

@@ -272,10 +272,13 @@ class Intertwiner:
     product basis (vector slot outermost).  Entry k-1 of `residuals` is the
     intertwining residual of generator k; every entry passed."""
 
-    target: IrrepLabel
     matrix: np.ndarray
     residuals: RelationReport
     table: CGCTable
+
+    @property
+    def target(self) -> IrrepLabel:
+        return self.table.target
 
 
 def _compute_block_table(label: IrrepLabel, target: IrrepLabel, closed, slots,
@@ -384,8 +387,8 @@ def assemble_decomposition(label: IrrepLabel, ctx: QContext) -> dict[Row, Intert
                     f"{m_tgt}, generator {k} (scale {entry.scale:.3e})")
             residuals.append(entry)
         table = CGCTable(label, target_label, branch.tag == "replaced", coeffs)
-        out[m_tgt] = Intertwiner(target_label, matrix,
-                                 RelationReport(tuple(residuals)), table)
+        out[m_tgt] = Intertwiner(matrix, RelationReport(tuple(residuals)),
+                                 table)
     return out
 
 

@@ -301,10 +301,13 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 def _check_out(path: str) -> None:
     """Raise what `open(path, "w")` would for a missing or unwritable
-    directory, without touching the file, so a bad `--out` fails first."""
+    directory or a path that is a directory, without touching the file, so
+    a bad `--out` fails first."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.access(path if os.path.exists(path) else parent, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 

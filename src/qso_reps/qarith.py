@@ -91,7 +91,10 @@ class HalfInt:
         return self.twice < HalfInt.of(other).twice
 
     def __hash__(self) -> int:
-        return hash(self.twice)
+        # an integral value hashes as the int it equals; an odd twice equals
+        # no int.  No float: a huge value would overflow
+        twice = self.twice
+        return hash(twice if twice & 1 else twice >> 1)
 
     def __repr__(self) -> str:
         if self.twice % 2 == 0:

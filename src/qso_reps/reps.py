@@ -62,20 +62,25 @@ class Sparse:
         rows, cols = np.nonzero(mat)
         return cls(mat.shape, rows, cols, mat[rows, cols])
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Dense copy of rows r0..r1-1 and columns c0..c1-1: the rows are a
-        contiguous run of entries, found by bisection.  Every entry not
-        stored is +0.0."""
+    def part(self, r0: int, r1: int, c0: int, c1: int) -> "Sparse":
+        """The stored entries in rows r0..r1-1 and columns c0..c1-1, in
+        order, at positions within that block: the rows are a contiguous
+        run of entries, found by bisection."""
         lo, hi = np.searchsorted(self.rows, (r0, r1))
-        rows, cols = self.rows[lo:hi], self.cols[lo:hi]
+        cols = self.cols[lo:hi]
         keep = (cols >= c0) & (cols < c1)
-        out = np.zeros((r1 - r0, c1 - c0), dtype=self.vals.dtype)
-        out[rows[keep] - r0, cols[keep] - c0] = self.vals[lo:hi][keep]
-        return out
+        return Sparse((r1 - r0, c1 - c0), self.rows[lo:hi][keep] - r0,
+                      cols[keep] - c0, self.vals[lo:hi][keep])
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Dense copy of `part`."""
+        return self.part(r0, r1, c0, c1).dense()
 
     def dense(self) -> np.ndarray:
-        """Dense copy of the whole matrix."""
-        return self.block(0, self.shape[0], 0, self.shape[1])
+        """Dense copy of the whole matrix; every entry not stored is +0.0."""
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
 
     def __mul__(self, c: complex) -> "Sparse":
         return Sparse(self.shape, self.rows, self.cols, c * self.vals)
@@ -107,16 +112,10 @@ def combine(*terms: tuple[complex, Sparse]) -> Sparse:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """One generator (or composite generator) held as its nonzeros; a dense
-    array passed in is stored as `Sparse.of` it."""
+    """One generator (or composite generator) held as its nonzeros."""
 
     label: IrrepLabel
-    gen: str
     nonzeros: Sparse
-
-    def __post_init__(self):
-        if isinstance(self.nonzeros, np.ndarray):
-            object.__setattr__(self, "nonzeros", Sparse.of(self.nonzeros))
 
     @property
     def mat(self) -> np.ndarray:
@@ -331,8 +330,8 @@ def build_generator(label: IrrepLabel, k: int, ctx: QContext) -> GeneratorMatrix
     if not 1 <= k <= label.n - 1:
         raise ValidationError(f"generator index {k} out of range for n={label.n}")
     basis = enumerate_patterns(label)
-    nonzeros = generator_block(label, k, basis.index, basis.patterns, ctx)
-    return GeneratorMatrix(label, f"I({k + 1},{k})", nonzeros)
+    return GeneratorMatrix(
+        label, generator_block(label, k, basis.index, basis.patterns, ctx))
 
 
 def build_all_generators(label: IrrepLabel, ctx: QContext) -> list[GeneratorMatrix]:
@@ -382,7 +381,7 @@ def composite_generator(label: IrrepLabel, k: int, l: int, sign: str,
     low = [g.nonzeros for g in base[:k - 2]]
     for level, block in composite_chain(base[k - 2].mat, low, low, sign, ctx):
         if level == l:
-            return GeneratorMatrix(label, f"I{sign}({k},{l})", block)
+            return GeneratorMatrix(label, Sparse.of(block))
 
 
 @dataclass(frozen=True)

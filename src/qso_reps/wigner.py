@@ -57,6 +57,11 @@ class AmbientBlock:
     def dim(self) -> int:
         return self.basis.dim
 
+    @property
+    def end(self) -> int:
+        """One past the block's last index."""
+        return self.offset + self.dim
+
 
 @dataclass(frozen=True)
 class VectorOperator:
@@ -163,8 +168,7 @@ def canonical_vector_operator(ambient: IrrepLabel, ctx: QContext) -> VectorOpera
     for pair in np.flatnonzero(touched):
         t, s = divmod(int(pair), len(blocks))
         bt, bs = blocks[t], blocks[s]
-        block = top.block(bt.offset, bt.offset + bt.dim,
-                          bs.offset, bs.offset + bs.dim)
+        block = top.block(bt.offset, bt.end, bs.offset, bs.end)
         # a small product's edge kernel can leave -0.0 where the dense
         # product leaves +0.0
         for k, level in composite_chain(block, gens[t], gens[s], "+", ctx):
@@ -223,17 +227,6 @@ def _pair_admissible(tgt: AmbientBlock, src: AmbientBlock) -> bool:
 _RATIO_TOL = 1e-8
 
 
-def _stored(v: Sparse, bt: AmbientBlock, bs: AmbientBlock) -> Sparse:
-    """The stored entries of `v` on the block pair (bt, bs), at positions
-    within the pair: the rows are a contiguous run of entries, found by
-    bisection."""
-    lo, hi = np.searchsorted(v.rows, (bt.offset, bt.offset + bt.dim))
-    cols = v.cols[lo:hi]
-    keep = (cols >= bs.offset) & (cols < bs.offset + bs.dim)
-    return Sparse((bt.dim, bs.dim), v.rows[lo:hi][keep] - bt.offset,
-                  cols[keep] - bs.offset, v.vals[lo:hi][keep])
-
-
 def _fsum(*terms: np.ndarray) -> float:
     """The exactly rounded sum of all `terms` (`math.fsum`), so it depends
     neither on their order nor on zero terms; NaN when a term is not finite
@@ -267,7 +260,8 @@ def _fit_pair(vop: VectorOperator, bt: AmbientBlock, bs: AmbientBlock,
     if total == 0.0:
         raise FactorizationError(
             f"all inverse coefficients vanish on pair {key}")
-    stored = [_stored(v, bt, bs) for v in vop.components]
+    stored = [v.part(bt.offset, bt.end, bs.offset, bs.end)
+              for v in vop.components]
     raw, raw_keys = np.concatenate([nz.vals for nz in stored]), keys_of(stored)
     at = np.minimum(np.searchsorted(keys, raw_keys), keys.size - 1)
     hit = keys[at] == raw_keys
@@ -314,8 +308,9 @@ def reduced_matrix_elements(vop: VectorOperator, ctx: QContext) -> ReducedElemen
             if _pair_admissible(bt, bs):
                 entries[key] = _fit_pair(vop, bt, bs, key, ctx)
                 continue
-            raw = max_entry(np.concatenate([_stored(v, bt, bs).vals
-                                            for v in vop.components]))
+            raw = max_entry(np.concatenate(
+                [v.part(bt.offset, bt.end, bs.offset, bs.end).vals
+                 for v in vop.components]))
             forbidden[key] = raw
             if raw != 0.0:  # NaN too
                 raise FactorizationError(

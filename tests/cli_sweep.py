@@ -162,6 +162,7 @@ def calls() -> list[list[str]]:
         ["dim", "--algebra", "1", "--weight", "1"],
         ["decompose", "--algebra", "3", "--weight", "1", "--out",
          "/nonexistent/dir/x"],
+        ["decompose", "--algebra", "3", "--weight", "1", "--out", "."],
         ["check", "--algebra", "3", "--weight", "1", "--tol", "nan"],
         ["check", "--algebra", "3", "--weight", "1", "--tol", "inf"],
         ["dim", "--algebra", "3", "--weight", "1", "--q", "abc"],

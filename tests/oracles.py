@@ -23,17 +23,23 @@ source) arrays with BLAS dot products, the reference for the fit on the
 nonzeros with exactly rounded sums.  `so3_cgc` is the explicit rank-3
 coupling table, written out from the closed forms as a reference for
 `top_cgc` and the auxiliary-weight recursion.
+
+`vector_rep` is the vector representation on the coordinate basis, a
+reference for the tableau build of the vector label and for `tensor_rep`;
+`sl_generators` and `embedding_check` realise the orthogonal generators
+inside quantum sl_n on that space (Noumi, Adv. Math. 123, 1996).
 """
 
 import cmath
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, GTPattern,
                       HalfInt, IrrepLabel, QContext, RelationReport,
-                      ValidationError, VectorOperator, enumerate_patterns,
-                      q_bracket, q_bracket_plus, q_power)
+                      ValidationError, VectorOperator, check_relations,
+                      enumerate_patterns, q_bracket, q_bracket_plus, q_power)
 from qso_reps.cgc import _slot_tables, admissible_aux, cgc_is_zero
 from qso_reps.gtbasis import HALF, branch_rows
 from qso_reps.reps import Sparse, _column_action, max_entry, relation_residual
@@ -473,3 +479,93 @@ def so3_cgc(l: HalfInt, l_target: HalfInt, kind: str,
         out[m] = (a, b, g)
         m = m + 1
     return out
+
+
+def vector_label(n: int) -> IrrepLabel:
+    """Label of the n-dimensional vector irrep, weight (1,0,...,0)."""
+    return IrrepLabel(n, CLASSICAL,
+                      tuple(HalfInt(2 if i == 0 else 0) for i in range(n // 2)))
+
+
+def vector_rep(n: int, ctx: QContext) -> list[GeneratorMatrix]:
+    """The n-dimensional vector representation on the coordinate basis:
+    generator k sends e_k to -q^(1/2) e_{k+1} and e_{k+1} to q^(-1/2) e_k."""
+    if n < 2:
+        raise ValidationError(f"rank must be >= 2, got n={n}")
+    label = vector_label(n)
+    sq = ctx.q ** 0.5
+    out = []
+    for k in range(1, n):
+        mat = np.zeros((n, n), dtype=complex)
+        mat[k, k - 1] = -sq
+        mat[k - 1, k] = 1.0 / sq
+        out.append(GeneratorMatrix(label, Sparse.of(mat)))
+    return out
+
+
+@dataclass(frozen=True)
+class SlnGenerators:
+    """Chevalley generators of quantum sl_n on the n-dimensional space."""
+
+    n: int
+    e: tuple[np.ndarray, ...]
+    f: tuple[np.ndarray, ...]
+    k: tuple[np.ndarray, ...]
+    kinv: tuple[np.ndarray, ...]
+
+
+def sl_generators(n: int, ctx: QContext) -> SlnGenerators:
+    """Vector representation of quantum sl_n: e_i lowers index i+1 -> i with
+    weight -q^(-1/2), f_i raises i -> i+1 with -q^(1/2), k_i is diagonal."""
+    es, fs, ks, kis = [], [], [], []
+    for i in range(1, n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i - 1, i] = -ctx.q ** -0.5
+        f = np.zeros((n, n), dtype=complex)
+        f[i, i - 1] = -ctx.q ** 0.5
+        kd = np.ones(n, dtype=complex)
+        kd[i - 1] = ctx.q
+        kd[i] = 1.0 / ctx.q
+        es.append(e)
+        fs.append(f)
+        ks.append(np.diag(kd))
+        kis.append(np.diag(1.0 / kd))
+    return SlnGenerators(n, tuple(es), tuple(fs), tuple(ks), tuple(kis))
+
+
+@dataclass(frozen=True)
+class EmbeddingReport:
+    """Residuals of the quantum sl_n embedding cross-check."""
+
+    relations: RelationReport
+    hopf_residual: float       # k k^-1 = 1 and [e_i, f_i] = (k_i - k_i^-1)/(q - 1/q)
+    vector_residual: float     # embedded generators match the vector representation
+
+    @property
+    def passed(self) -> bool:
+        return (self.relations.all_passed and self.hopf_residual <= 1e-12
+                and self.vector_residual <= 1e-12)
+
+
+def embedding_check(n: int, ctx: QContext) -> EmbeddingReport:
+    """Verify that f_i - q^-1 k_i e_i realises the orthogonal-algebra
+    generators inside quantum sl_n on the vector representation.
+
+    The embedded generators coincide entrywise with the closed form of
+    `vector_rep`; `vector_residual` is the largest entry of the difference.
+    """
+    sl = sl_generators(n, ctx)
+    hopf = 0.0
+    for i in range(n - 1):
+        hopf = max(hopf, float(np.abs(sl.k[i] @ sl.kinv[i] - np.eye(n)).max()))
+        comm = sl.e[i] @ sl.f[i] - sl.f[i] @ sl.e[i]
+        target = (sl.k[i] - sl.kinv[i]) / (ctx.q - 1.0 / ctx.q)
+        hopf = max(hopf, float(np.abs(comm - target).max()))
+    embedded = [sl.f[i] - (sl.k[i] @ sl.e[i]) / ctx.q for i in range(n - 1)]
+    label = vector_label(n)
+    gens = [GeneratorMatrix(label, Sparse.of(m)) for m in embedded]
+    relations = check_relations(gens, ctx)
+    vec = vector_rep(n, ctx)
+    vector_residual = max(float(np.abs(embedded[i] - vec[i].mat).max())
+                          for i in range(n - 1))
+    return EmbeddingReport(relations, hopf, vector_residual)

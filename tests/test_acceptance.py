@@ -15,12 +15,12 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, HalfInt, IrrepLabel, QContext,
                       assemble_decomposition, branching_set,
                       build_all_generators, build_generator,
                       canonical_vector_operator, check_relations,
-                      check_vector_operator, dimension, embedding_check,
-                      enumerate_patterns, q_bracket, q_bracket_plus,
-                      reduced_matrix_elements, tensor_rep)
+                      check_vector_operator, dimension, enumerate_patterns,
+                      q_bracket, q_bracket_plus, reduced_matrix_elements,
+                      tensor_rep)
 from qso_reps.cgc import admissible_aux, decomposition_rank
 
-from oracles import classical_limit_generator, so3_cgc
+from oracles import classical_limit_generator, embedding_check, so3_cgc
 
 H = HalfInt
 QS = (0.7, 1.3)

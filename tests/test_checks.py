@@ -77,8 +77,8 @@ def test_relations_match_the_dense_oracle(label):
         # one generator off by a relative 1e-6 breaks a relation in both
         for k in (0, len(gens) - 1):
             bad = list(gens)
-            bad[k] = GeneratorMatrix(gens[k].label, gens[k].gen,
-                                     gens[k].mat * (1 + 1e-6))
+            bad[k] = GeneratorMatrix(gens[k].label,
+                                     Sparse.of(gens[k].mat * (1 + 1e-6)))
             sparse, dense = check_relations(bad, ctx), dense_check_relations(bad, ctx)
             assert not sparse.all_passed and not dense.all_passed
             assert_reports_agree(sparse, dense)
@@ -117,14 +117,14 @@ SO5_NC = lab(5, (3, 1), NC, (1, 1, 1, 1))
 
 def test_inf_in_a_generator_fails_the_relations():
     ctx = QContext(1.3)
-    gens = [GeneratorMatrix(g.label, g.gen, g.mat.real)
+    gens = [GeneratorMatrix(g.label, Sparse.of(g.mat.real))
             for g in build_all_generators(SO5_NC, ctx)]
     infinite = 0
     with np.errstate(all="ignore"):
         for k, g in enumerate(gens):
             mat = g.mat.copy()
             mat[0, 0] = np.inf
-            bad = gens[:k] + [GeneratorMatrix(g.label, g.gen, mat)] + gens[k + 1:]
+            bad = gens[:k] + [GeneratorMatrix(g.label, Sparse.of(mat))] + gens[k + 1:]
             report = check_relations(bad, ctx)
             assert_no_pass_on_non_finite(report)
             assert not dense_check_relations(bad, ctx).all_passed

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qso_reps import (GeneratorMatrix, HalfInt, RelationReport,
                       SingularCoefficientError, dimension)
-from qso_reps.reps import RelationResidual
+from qso_reps.reps import RelationResidual, Sparse
 from qso_reps.cli import _attach_dash_values, _label_from, build_parser, main
 
 
@@ -78,7 +78,7 @@ def test_check_corrupted_matrix_exits_one(capsys, monkeypatch):
         mats = real(label, ctx)
         bad = mats[0].mat.copy()
         bad[0, 0] += 0.25
-        return [GeneratorMatrix(mats[0].label, mats[0].gen, bad)] + mats[1:]
+        return [GeneratorMatrix(mats[0].label, Sparse.of(bad))] + mats[1:]
 
     monkeypatch.setattr(cli, "build_all_generators", corrupt)
     code, out, _ = run(capsys, "check", "--algebra", "4", "--weight", "1,0",
@@ -286,7 +286,9 @@ def test_unwritable_out_exits_two(capsys):
     assert "/nonexistent/dir/x" in err
 
 
-@pytest.mark.parametrize("missing", [False, True])
+# False: the directory cannot be written; True: it is missing; "dir": the
+# path is itself a directory
+@pytest.mark.parametrize("missing", [False, True, "dir"])
 def test_unwritable_out_exits_two_before_any_work(capsys, monkeypatch,
                                                   tmp_path, missing):
     import qso_reps.cli as cli
@@ -296,18 +298,20 @@ def test_unwritable_out_exits_two_before_any_work(capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "assemble_decomposition", refuse)
     out_path = tmp_path / "x"
-    if missing:
+    if missing == "dir":
+        out_path.mkdir()
+        error = IsADirectoryError(21, "Is a directory", str(out_path))
+    elif missing:
         out_path = tmp_path / "missing" / "x"
-    else:  # a directory that cannot be written
+        error = FileNotFoundError(2, "No such file or directory", str(out_path))
+    else:
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        error = PermissionError(13, "Permission denied", str(out_path))
     code, out, err = run(capsys, "decompose", "--algebra", "3", "--weight",
                          "1", "--out", str(out_path))
     assert code == 2 and out == ""
-    assert err == "error: " + str(
-        FileNotFoundError(2, "No such file or directory", str(out_path))
-        if missing else
-        PermissionError(13, "Permission denied", str(out_path))) + "\n"
-    assert not out_path.exists()
+    assert err == f"error: {error}\n"
+    assert out_path.is_dir() if missing == "dir" else not out_path.exists()
 
 
 def test_out_is_untouched_when_a_check_fails(capsys, monkeypatch, tmp_path):

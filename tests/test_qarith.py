@@ -31,6 +31,18 @@ def test_halfint_arithmetic():
     assert HalfInt(4).is_integral and not a.is_integral
 
 
+def test_halfint_hashes_as_the_int_it_equals():
+    assert HalfInt(2) == 1 and hash(HalfInt(2)) == hash(1)
+    assert {1: "a"}.get(HalfInt(2)) == "a"
+    assert len({HalfInt(2), 1}) == 1
+    assert hash(HalfInt(-2)) == hash(-1) == -2
+    huge = 10 ** 400
+    assert hash(HalfInt(2 * huge)) == hash(huge)
+    assert hash(HalfInt(2 * huge + 1)) == hash(2 * huge + 1)
+    assert {HalfInt(2 * huge): 0}.get(huge) == 0
+    assert HalfInt(3) != 1 and HalfInt(3) != 2
+
+
 def test_qcontext_validation():
     QContext(1.3)
     with pytest.raises(ValidationError):

@@ -11,7 +11,7 @@ from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
                       coeff_classical, coeff_nonclassical, composite_generator,
                       enumerate_patterns, q_bracket, q_bracket_plus, q_power)
 from qso_reps.gtbasis import pattern_parity
-from qso_reps.reps import relation_residual
+from qso_reps.reps import Sparse, relation_residual
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -190,7 +190,7 @@ def test_relation_check_negative_control():
     mats = build_all_generators(lab(4, (2, 0)), CTX)
     corrupted = mats[0].mat.copy()
     corrupted[0, 0] += 0.01
-    bad = [GeneratorMatrix(mats[0].label, mats[0].gen, corrupted)] + mats[1:]
+    bad = [GeneratorMatrix(mats[0].label, Sparse.of(corrupted))] + mats[1:]
     assert not check_relations(bad, CTX).all_passed
 
 
@@ -416,8 +416,8 @@ def test_generators_are_parity_gauged_transposes(label):
     # primed inverse tables of `wigner` rest on it
     d = np.array(pattern_parity(label), dtype=float)
     for q in (1.3, 0.35):
-        for g in build_all_generators(label, QContext(q)):
-            assert np.array_equal(g.mat.T, d[:, None] * g.mat * d), g.name
+        for k, g in enumerate(build_all_generators(label, QContext(q)), 1):
+            assert np.array_equal(g.mat.T, d[:, None] * g.mat * d), (q, k)
 
 
 def test_vanishing_denominator_is_singular(monkeypatch):

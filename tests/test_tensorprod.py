@@ -3,11 +3,12 @@ import pytest
 
 from qso_reps import (CLASSICAL, NONCLASSICAL, GeneratorMatrix, HalfInt,
                       IrrepLabel, QContext, build_all_generators,
-                      check_relations, dimension, embedding_check,
-                      enumerate_patterns, q_bracket, q_bracket_plus,
-                      sl_generators, tensor_action, tensor_rep, vector_rep)
+                      check_relations, dimension, enumerate_patterns,
+                      q_bracket, q_bracket_plus, tensor_action, tensor_rep)
 from qso_reps.cgc import assemble_decomposition
-from qso_reps.tensorprod import vector_label
+from qso_reps.reps import Sparse
+
+from oracles import embedding_check, sl_generators, vector_label, vector_rep
 
 H = HalfInt
 CTX = QContext(1.3)
@@ -57,10 +58,8 @@ def test_vector_rep_equivalent_to_tableau_build():
 
 def test_tensor_of_trivial_is_vector_rep():
     n = 5
-    trivial = GeneratorMatrix(lab(n, (0, 0)), "I", np.zeros((1, 1), dtype=complex))
-    mats = tensor_rep([GeneratorMatrix(trivial.label, f"I({k+1},{k})",
-                                       np.zeros((1, 1), dtype=complex))
-                       for k in range(1, n)], CTX)
+    zero = Sparse.of(np.zeros((1, 1), dtype=complex))
+    mats = tensor_rep([GeneratorMatrix(lab(n, (0, 0)), zero)] * (n - 1), CTX)
     vec = vector_rep(n, CTX)
     for a, b in zip(mats, vec):
         assert np.array_equal(a.mat, b.mat)
